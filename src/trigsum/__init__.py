@@ -32,8 +32,10 @@ from .geometry import (
     chebyshev_form_point,
     closed_form_point,
     construct_points,
+    line_coordinates,
     line_for_index,
     projection_sum,
+    projection_sums,
     segment_direction_angles,
 )
 from .kernels import (
@@ -46,6 +48,7 @@ from .kernels import (
     even_index_sum,
     halfangle_free_sum,
     lagrange_sum,
+    naive_running_sums,
     naive_trig_sum,
     odd_index_sum,
     sum_auto,
@@ -93,8 +96,10 @@ __all__ = [
     "construct_points",
     "closed_form_point",
     "chebyshev_form_point",
+    "line_coordinates",
     "line_for_index",
     "projection_sum",
+    "projection_sums",
     "segment_direction_angles",
     "DEFAULT_THRESHOLD",
     "Family",
@@ -102,6 +107,7 @@ __all__ = [
     "SumSpec",
     "SumValue",
     "naive_trig_sum",
+    "naive_running_sums",
     "compensated_trig_sum",
     "lagrange_sum",
     "halfangle_free_sum",

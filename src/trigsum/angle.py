@@ -1,4 +1,4 @@
-"""Angle value type with proximity classification against singular sets."""
+"""Angle value type: a finite angle in radians, never range-reduced."""
 
 from __future__ import annotations
 
@@ -20,14 +20,6 @@ class Angle:
     def __post_init__(self) -> None:
         if not math.isfinite(self.radians):
             raise ValueError(f"angle must be finite, got {self.radians!r}")
-
-    def near_sin_zero(self, eps: float) -> bool:
-        """True when |sin(radians)| < eps, i.e. near a multiple of pi."""
-        return abs(math.sin(self.radians)) < eps
-
-    def near_cos_zero(self, eps: float) -> bool:
-        """True when |cos(radians)| < eps, i.e. near an odd multiple of pi/2."""
-        return abs(math.cos(self.radians)) < eps
 
 
 def as_angle(value: Angle | float) -> Angle:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator, Sequence
 
 from .angle import Angle, as_angle
 from .chebyshev import chebyshev_u
@@ -163,12 +164,14 @@ def _next_coordinate(
     )
 
 
-def construct_points(cfg: ConstructionConfig) -> PointSeq:
-    """Run the construction and return the n+1 points with tangency events.
+def line_coordinates(cfg: ConstructionConfig) -> Iterator[tuple[float, bool]]:
+    """Signed coordinate of A_0 .. A_n along its own line, with tangency flags.
 
-    Rejects opening angles where the construction degenerates (|cos a| or
-    |sin a| below cfg.epsilon_exclude). At a tangent step the unique
-    intersection is taken and the step index recorded.
+    The returned iterator gives (t, tangent) for each point in index order:
+    A_0 = 0, A_1 = +1, then one recurrence step per point, tangent marking a
+    step where the step circle touched the target line. Opening angles where
+    the construction degenerates (|cos a| or |sin a| below
+    cfg.epsilon_exclude) are rejected by this call, before any step runs.
     """
     rad = cfg.alpha.radians
     cos_a, sin_a = math.cos(rad), math.sin(rad)
@@ -182,20 +185,44 @@ def construct_points(cfg: ConstructionConfig) -> PointSeq:
             f"|sin(alpha)| = {abs(sin_a):.3e} < {cfg.epsilon_exclude:.3e}: "
             "the two lines coincide"
         )
+    return _walk(cos_a, sin_a, cfg.n, cfg.tol_tangent)
 
-    # Signed coordinate of A_l along its own line; A_0 = 0, A_1 = +1.
-    ts = [0.0, 1.0]
+
+def _walk(
+    cos_a: float, sin_a: float, n: int, tol_tangent: float
+) -> Iterator[tuple[float, bool]]:
+    prev2, prev = 0.0, 1.0
+    yield prev2, False
+    yield prev, False
+    for _ in range(2, n + 1):
+        t, tangent = _next_coordinate(prev, prev2, cos_a, sin_a, tol_tangent)
+        yield t, tangent
+        prev2, prev = prev, t
+
+
+def _point_directions(cfg: ConstructionConfig) -> tuple[tuple[float, float], ...]:
+    """Unit directions of the lines of even- and odd-index points."""
+    rad = cfg.alpha.radians
+    cos_a, sin_a = math.cos(rad), math.sin(rad)
+    return tuple(
+        _direction(line_for_index(parity, cfg.start_line), cos_a, sin_a) for parity in (0, 1)
+    )
+
+
+def construct_points(cfg: ConstructionConfig) -> PointSeq:
+    """Run the construction and return the n+1 points with tangency events.
+
+    Rejects the opening angles line_coordinates rejects. At a tangent step
+    the unique intersection is taken and the step index recorded.
+    """
+    directions = _point_directions(cfg)
+    points = []
     tangencies: list[int] = []
-    for index in range(2, cfg.n + 1):
-        t, tangent = _next_coordinate(ts[-1], ts[-2], cos_a, sin_a, cfg.tol_tangent)
+    for index, (t, tangent) in enumerate(line_coordinates(cfg)):
         if tangent:
             tangencies.append(index)
-        ts.append(t)
-
-    points = []
-    for index, t in enumerate(ts):
+        dx, dy = directions[index % 2]
         line = line_for_index(index, cfg.start_line)
-        dx, dy = _direction(line, cos_a, sin_a)
         points.append(PlacedPoint(index, line, Point2(t * dx, t * dy)))
     return PointSeq(cfg.alpha, cfg.start_line, tuple(points), tuple(tangencies))
 
@@ -250,6 +277,35 @@ def projection_sum(seq: PointSeq, target: Line, count: int) -> float:
         sy = pts[l].point.y - pts[l - 1].point.y
         total += sx * dx + sy * dy
     return total
+
+
+def projection_sums(cfg: ConstructionConfig, target: Line, counts: Sequence[int]) -> list[float]:
+    """projection_sum at each of counts, from one walk of the construction.
+
+    The walk runs line_coordinates up to cfg.n and accumulates the same
+    per-segment projections as projection_sum on construct_points(cfg), so
+    each returned value has the exact bits of projection_sum at that count,
+    without building the points. counts may be unsorted and repeat; the
+    result follows their order. Memory is one float per distinct count.
+    """
+    if any(count < 1 or count > cfg.n for count in counts):
+        raise CountOutOfRange(f"counts must be in 1..{cfg.n}, got {tuple(counts)}")
+    rad = cfg.alpha.radians
+    tx, ty = _direction(target, math.cos(rad), math.sin(rad))
+    directions = _point_directions(cfg)
+    wanted = set(counts)
+    totals: dict[int, float] = {}
+    total = 0.0
+    px = py = 0.0
+    for index, (t, _) in enumerate(line_coordinates(cfg)):
+        dx, dy = directions[index % 2]
+        x, y = t * dx, t * dy
+        if index:
+            total += (x - px) * tx + (y - py) * ty
+            if index in wanted:
+                totals[index] = total
+        px, py = x, y
+    return [totals[count] for count in counts]
 
 
 def segment_direction_angles(seq: PointSeq) -> list[float]:

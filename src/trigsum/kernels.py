@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .angle import Angle, as_angle
 from .errors import SingularDenominator
@@ -69,41 +70,101 @@ class SumValue:
     singular_proximity: float
 
 
-def _multiples(spec: SumSpec) -> range:
-    """Angle multipliers of the family, in increasing order."""
-    if spec.family is Family.FULL:
-        return range(1, spec.count + 1)
-    if spec.family is Family.EVEN:
-        return range(2, 2 * spec.count + 1, 2)
-    return range(1, 2 * spec.count, 2)
+def _multiples(family: Family, done: int, count: int) -> range:
+    """Angle multipliers of terms done+1 .. count of the family, in increasing order."""
+    if family is Family.FULL:
+        return range(done + 1, count + 1)
+    if family is Family.EVEN:
+        return range(2 * done + 2, 2 * count + 1, 2)
+    return range(2 * done + 1, 2 * count, 2)
 
 
-def naive_trig_sum(spec: SumSpec) -> float:
-    """Literal term-by-term oracle, plain accumulation in index order.
-
-    Error grows like count * eps, which every comparison tolerance budgets
-    for; use compensated_trig_sum when the oracle itself is under test.
-    """
-    rad = spec.angle.radians
-    total = 0.0
-    for mult in _multiples(spec):
+def _add_terms(total: float, rad: float, multiples: range) -> float:
+    """Add cos(mult * rad) to total for each multiplier, in order."""
+    for mult in multiples:
         total += math.cos(mult * rad)
     return total
 
 
+def naive_trig_sum(spec: SumSpec) -> float:
+    """Literal term-by-term sum, plain accumulation in index order.
+
+    Error grows like count * eps, which every comparison tolerance budgets
+    for. compensated_trig_sum removes only the accumulation part of that
+    error; neither is a reference for the true sum.
+    """
+    return _add_terms(0.0, spec.angle.radians, _multiples(spec.family, 0, spec.count))
+
+
+def naive_running_sums(
+    phi: Angle | float, family: Family, counts: Sequence[int]
+) -> list[float]:
+    """naive_trig_sum at each of counts, from one ordered pass over the terms.
+
+    The running total is read off as the pass reaches each requested count,
+    so every returned value has the exact bits of naive_trig_sum at that
+    count. counts may be unsorted and repeat; the result follows their order.
+    The pass runs up to max(counts) and keeps one float per distinct count.
+    """
+    if any(count < 1 for count in counts):
+        raise ValueError(f"counts must all be >= 1, got {tuple(counts)}")
+    rad = as_angle(phi).radians
+    totals: dict[int, float] = {}
+    total = 0.0
+    done = 0
+    for count in sorted(set(counts)):
+        total = _add_terms(total, rad, _multiples(family, done, count))
+        totals[count] = total
+        done = count
+    return [totals[count] for count in counts]
+
+
 def compensated_trig_sum(spec: SumSpec) -> float:
-    """Exactly rounded sum of the same terms (verification-grade oracle)."""
+    """Correctly rounded sum of the already rounded terms (math.fsum).
+
+    This removes the accumulation error of naive_trig_sum, not the error in
+    the terms: each cos(l*phi) is evaluated at the rounded product l*phi,
+    whose argument error is about l*|phi|*eps. So the result is not the true
+    sum to working precision, and it is no verification-grade oracle.
+    """
     rad = spec.angle.radians
-    return math.fsum(math.cos(mult * rad) for mult in _multiples(spec))
+    multiples = _multiples(spec.family, 0, spec.count)
+    return math.fsum(math.cos(mult * rad) for mult in multiples)
 
 
-def _guard(den: float, threshold: float, what: str) -> None:
+def _guard(den: float, threshold: float, what: str) -> float:
+    """Return den, or raise when it is below threshold or exactly zero."""
     # den == 0.0 is checked separately so threshold=0.0 still rejects the
     # exact singularity instead of dividing by zero.
     if abs(den) < threshold or den == 0.0:
         raise SingularDenominator(
             f"|{what}| = {abs(den):.3e} is below threshold {threshold:.3e}"
         )
+    return den
+
+
+# Each closed form is written once, as a function of the angle, its
+# denominator (already checked) and the count.
+
+
+def _lagrange(rad: float, den: float, m: int) -> float:
+    return 0.5 * (math.sin((m + 0.5) * rad) / den - 1.0)
+
+
+def _halfangle(rad: float, den: float, m: int) -> float:
+    return 0.5 * ((math.sin((m + 1) * rad) + math.sin(m * rad)) / den - 1.0)
+
+
+def _even(rad: float, den: float, k: int) -> float:
+    return 0.5 * (math.sin((2 * k + 1) * rad) / den - 1.0)
+
+
+def _odd(rad: float, den: float, k: int) -> float:
+    return 0.5 * math.sin(2 * k * rad) / den
+
+
+def _x_terminal(rad: float, den: float, k: int) -> float:
+    return math.cos(rad) * math.sin((2 * k + 2) * rad) / den
 
 
 def lagrange_sum(
@@ -117,9 +178,8 @@ def lagrange_sum(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     rad = as_angle(phi).radians
-    den = math.sin(0.5 * rad)
-    _guard(den, threshold, "sin(phi/2)")
-    return 0.5 * (math.sin((m + 0.5) * rad) / den - 1.0)
+    den = _guard(math.sin(0.5 * rad), threshold, "sin(phi/2)")
+    return _lagrange(rad, den, m)
 
 
 def halfangle_free_sum(
@@ -134,9 +194,8 @@ def halfangle_free_sum(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     rad = as_angle(phi).radians
-    den = math.sin(rad)
-    _guard(den, threshold, "sin(phi)")
-    return 0.5 * ((math.sin((m + 1) * rad) + math.sin(m * rad)) / den - 1.0)
+    den = _guard(math.sin(rad), threshold, "sin(phi)")
+    return _halfangle(rad, den, m)
 
 
 def even_index_sum(
@@ -149,9 +208,8 @@ def even_index_sum(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rad = as_angle(alpha).radians
-    den = math.sin(rad)
-    _guard(den, threshold, "sin(alpha)")
-    return 0.5 * (math.sin((2 * k + 1) * rad) / den - 1.0)
+    den = _guard(math.sin(rad), threshold, "sin(alpha)")
+    return _even(rad, den, k)
 
 
 def odd_index_sum(
@@ -164,9 +222,8 @@ def odd_index_sum(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rad = as_angle(alpha).radians
-    den = math.sin(rad)
-    _guard(den, threshold, "sin(alpha)")
-    return 0.5 * math.sin(2 * k * rad) / den
+    den = _guard(math.sin(rad), threshold, "sin(alpha)")
+    return _odd(rad, den, k)
 
 
 def x_coordinate_identity(
@@ -187,10 +244,8 @@ def x_coordinate_identity(
     for l in range(1, k + 1):
         lhs += 2.0 * math.cos(2 * l * rad)
     lhs += math.cos((2 * k + 2) * rad)
-    den = math.sin(rad)
-    _guard(den, threshold, "sin(alpha)")
-    rhs = math.cos(rad) * math.sin((2 * k + 2) * rad) / den
-    return lhs, rhs
+    den = _guard(math.sin(rad), threshold, "sin(alpha)")
+    return lhs, _x_terminal(rad, den, k)
 
 
 def sum_auto(

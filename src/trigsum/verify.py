@@ -114,79 +114,79 @@ class ResidualReport:
         return "\n".join(lines) + "\n"
 
 
-def _res_lagrange_naive(rad: float, m: int) -> float:
-    return kernels.lagrange_sum(rad, m, threshold=0.0) - kernels.naive_trig_sum(
-        kernels.SumSpec(Angle(rad), m, kernels.Family.FULL)
-    )
+# Each pair rule maps (angle, guard, counts) to the residuals at every count.
+# It computes the pair's denominators once and raises TrigsumError when one
+# is below the guard or exactly zero: the sweep then skips the whole angle.
 
 
-def _res_halfangle_naive(rad: float, m: int) -> float:
-    return kernels.halfangle_free_sum(rad, m, threshold=0.0) - kernels.naive_trig_sum(
-        kernels.SumSpec(Angle(rad), m, kernels.Family.FULL)
-    )
+def _lagrange_vs_naive(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
+    rad = angle.radians
+    den = kernels._guard(math.sin(0.5 * rad), guard, "sin(phi/2)")
+    oracle = kernels.naive_running_sums(angle, kernels.Family.FULL, counts)
+    return [kernels._lagrange(rad, den, m) - ref for m, ref in zip(counts, oracle)]
 
 
-def _res_lagrange_halfangle(rad: float, m: int) -> float:
-    return kernels.lagrange_sum(rad, m, threshold=0.0) - kernels.halfangle_free_sum(
-        rad, m, threshold=0.0
-    )
+def _halfangle_vs_naive(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
+    rad = angle.radians
+    den = kernels._guard(math.sin(rad), guard, "sin(phi)")
+    oracle = kernels.naive_running_sums(angle, kernels.Family.FULL, counts)
+    return [kernels._halfangle(rad, den, m) - ref for m, ref in zip(counts, oracle)]
 
 
-def _res_even_naive(rad: float, k: int) -> float:
-    return kernels.even_index_sum(rad, k, threshold=0.0) - kernels.naive_trig_sum(
-        kernels.SumSpec(Angle(rad), k, kernels.Family.EVEN)
-    )
+def _lagrange_vs_halfangle(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
+    rad = angle.radians
+    half = kernels._guard(math.sin(0.5 * rad), guard, "sin(phi/2)")
+    whole = kernels._guard(math.sin(rad), guard, "sin(phi)")
+    return [
+        kernels._lagrange(rad, half, m) - kernels._halfangle(rad, whole, m) for m in counts
+    ]
 
 
-def _res_odd_naive(rad: float, k: int) -> float:
-    return kernels.odd_index_sum(rad, k, threshold=0.0) - kernels.naive_trig_sum(
-        kernels.SumSpec(Angle(rad), k, kernels.Family.ODD)
-    )
+def _even_vs_naive(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
+    rad = angle.radians
+    den = kernels._guard(math.sin(rad), guard, "sin(alpha)")
+    oracle = kernels.naive_running_sums(angle, kernels.Family.EVEN, counts)
+    return [kernels._even(rad, den, k) - ref for k, ref in zip(counts, oracle)]
 
 
-def _res_projection_closed(rad: float, k: int) -> float:
+def _odd_vs_naive(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
+    rad = angle.radians
+    den = kernels._guard(math.sin(rad), guard, "sin(alpha)")
+    oracle = kernels.naive_running_sums(angle, kernels.Family.ODD, counts)
+    return [kernels._odd(rad, den, k) - ref for k, ref in zip(counts, oracle)]
+
+
+def _projection_vs_closed_form(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
     # The x-projections of the first 2k+2 segments telescope to the terminal
-    # abscissa, whose closed form is the identity's right-hand side.
-    n = 2 * k + 2
-    seq = geometry.construct_points(geometry.ConstructionConfig(Angle(rad), n))
-    lhs = geometry.projection_sum(seq, geometry.Line.X, n)
-    _, rhs = kernels.x_coordinate_identity(rad, k, threshold=0.0)
-    return lhs - rhs
+    # abscissa, whose closed form is the identity's right-hand side. One
+    # construction walk, to the largest n, serves every count.
+    rad = angle.radians
+    den = kernels._guard(math.sin(rad), guard, "sin(alpha)")
+    kernels._guard(math.cos(rad), guard, "cos(alpha)")
+    ns = [2 * k + 2 for k in counts]
+    cfg = geometry.ConstructionConfig(angle, max(ns))
+    lhs = geometry.projection_sums(cfg, geometry.Line.X, ns)
+    return [x - kernels._x_terminal(rad, den, k) for k, x in zip(counts, lhs)]
 
 
-def _res_decomposition_halfangle(rad: float, k: int) -> float:
-    parts = kernels.even_index_sum(rad, k, threshold=0.0) + kernels.odd_index_sum(
-        rad, k, threshold=0.0
-    )
-    return parts - kernels.halfangle_free_sum(rad, 2 * k, threshold=0.0)
+def _decomposition_vs_halfangle(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
+    rad = angle.radians
+    den = kernels._guard(math.sin(rad), guard, "sin(alpha)")
+    return [
+        (kernels._even(rad, den, k) + kernels._odd(rad, den, k))
+        - kernels._halfangle(rad, den, 2 * k)
+        for k in counts
+    ]
 
 
-def _den_half(rad: float) -> float:
-    return abs(math.sin(0.5 * rad))
-
-
-def _den_whole(rad: float) -> float:
-    return abs(math.sin(rad))
-
-
-def _den_both(rad: float) -> float:
-    return min(abs(math.sin(0.5 * rad)), abs(math.sin(rad)))
-
-
-def _den_construction(rad: float) -> float:
-    return min(abs(math.sin(rad)), abs(math.cos(rad)))
-
-
-_PAIR_RULES: dict[
-    ResidualPair, tuple[Callable[[float], float], Callable[[float, int], float]]
-] = {
-    ResidualPair.LAGRANGE_VS_NAIVE: (_den_half, _res_lagrange_naive),
-    ResidualPair.HALFANGLE_VS_NAIVE: (_den_whole, _res_halfangle_naive),
-    ResidualPair.LAGRANGE_VS_HALFANGLE: (_den_both, _res_lagrange_halfangle),
-    ResidualPair.EVEN_VS_NAIVE: (_den_whole, _res_even_naive),
-    ResidualPair.ODD_VS_NAIVE: (_den_whole, _res_odd_naive),
-    ResidualPair.PROJECTION_VS_CLOSED_FORM: (_den_construction, _res_projection_closed),
-    ResidualPair.DECOMPOSITION_VS_HALFANGLE: (_den_whole, _res_decomposition_halfangle),
+_PAIR_RULES: dict[ResidualPair, Callable[[Angle, float, Sequence[int]], list[float]]] = {
+    ResidualPair.LAGRANGE_VS_NAIVE: _lagrange_vs_naive,
+    ResidualPair.HALFANGLE_VS_NAIVE: _halfangle_vs_naive,
+    ResidualPair.LAGRANGE_VS_HALFANGLE: _lagrange_vs_halfangle,
+    ResidualPair.EVEN_VS_NAIVE: _even_vs_naive,
+    ResidualPair.ODD_VS_NAIVE: _odd_vs_naive,
+    ResidualPair.PROJECTION_VS_CLOSED_FORM: _projection_vs_closed_form,
+    ResidualPair.DECOMPOSITION_VS_HALFANGLE: _decomposition_vs_halfangle,
 }
 
 
@@ -195,14 +195,25 @@ def residual_sweep(
 ) -> ResidualReport:
     """Evaluate a pair over the grid and aggregate |residual| statistics.
 
+    The pair is evaluated per angle, not per grid point: its denominators
+    and their guard once, one ordered naive pass up to max(counts) for the
+    oracle pairs, and one construction walk up to n = 2 max(counts) + 2 for
+    the projection pair. Memory per angle is O(len(counts)).
+
     Rows are kept in canonical order (angle-major, count-minor) when
     keep_rows is true, or by default when the grid has at most
-    ROW_RETENTION_LIMIT points. A point whose evaluation raises a domain
-    error (possible only with guard below the kernels' exact-zero check)
-    counts as skipped, so evaluated + skipped always equals the grid size.
+    ROW_RETENTION_LIMIT points. An angle whose denominator is below the
+    guard, or whose evaluation raises a domain error (possible only with
+    guard below the kernels' exact-zero check or the construction's
+    exclusion rule), counts all its grid points as skipped, so evaluated +
+    skipped always equals the grid size. Every such error depends on the
+    angle alone, except ConstructionImpossible, which is unreachable for
+    admissible angles: should it occur, the whole angle is skipped, also
+    the counts whose shorter walks stop before the failing step.
     """
-    guard_fn, residual_fn = _PAIR_RULES[pair]
-    total = grid.steps * len(grid.counts)
+    rule = _PAIR_RULES[pair]
+    counts = grid.counts
+    total = grid.steps * len(counts)
     if keep_rows is None:
         keep_rows = total <= ROW_RETENTION_LIMIT
     rows: list[tuple[float, int, float]] | None = [] if keep_rows else None
@@ -214,16 +225,14 @@ def residual_sweep(
     argmax_angle = math.nan
     argmax_count = 0
     for rad in grid.angles():
-        if guard_fn(rad) < grid.guard:
-            skipped += len(grid.counts)
+        angle = Angle(rad)
+        try:
+            residuals = rule(angle, grid.guard, counts)
+        except TrigsumError:
+            skipped += len(counts)
             continue
-        for count in grid.counts:
-            try:
-                residual = residual_fn(rad, count)
-            except TrigsumError:
-                skipped += 1
-                continue
-            evaluated += 1
+        evaluated += len(counts)
+        for count, residual in zip(counts, residuals):
             magnitude = abs(residual)
             abs_sum += magnitude
             if magnitude > max_abs:

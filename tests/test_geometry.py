@@ -16,8 +16,10 @@ from trigsum import (
     chebyshev_form_point,
     closed_form_point,
     construct_points,
+    line_coordinates,
     line_for_index,
     projection_sum,
+    projection_sums,
     segment_direction_angles,
 )
 
@@ -207,6 +209,47 @@ def test_projection_count_bounds():
         projection_sum(seq, Line.X, 0)
     with pytest.raises(CountOutOfRange):
         projection_sum(seq, Line.X, 4)
+
+
+@pytest.mark.parametrize("start", list(Line))
+@pytest.mark.parametrize("alpha", [math.pi / 4, -math.pi / 3, *REGULAR_ANGLES, 41.3])
+def test_line_coordinates_reproduce_construction(alpha, start):
+    cfg = ConstructionConfig(Angle(alpha), 300, start)
+    seq = construct_points(cfg)
+    walk = list(line_coordinates(cfg))
+    assert len(walk) == len(seq.points)
+    assert tuple(i for i, (_, tangent) in enumerate(walk) if tangent) == seq.tangency_events
+    cos_a, sin_a = math.cos(alpha), math.sin(alpha)
+    for (t, _), p in zip(walk, seq.points):
+        dx, dy = (1.0, 0.0) if p.line is Line.X else (cos_a, sin_a)
+        assert (t * dx).hex() == p.point.x.hex()
+        assert (t * dy).hex() == p.point.y.hex()
+
+
+def test_line_coordinates_reject_before_walking():
+    with pytest.raises(ExcludedAngle):
+        line_coordinates(ConstructionConfig(Angle(math.pi / 2), 5))
+
+
+@pytest.mark.parametrize("start", list(Line))
+@pytest.mark.parametrize("alpha", [math.pi / 4, -math.pi / 3, 0.11, 2.8, 5.9])
+def test_projection_sums_match_projection_sum(alpha, start):
+    cfg = ConstructionConfig(Angle(alpha), 120, start)
+    seq = construct_points(cfg)
+    counts = (7, 1, 120, 7, 33, 2)
+    for target in Line:
+        running = projection_sums(cfg, target, counts)
+        assert [x.hex() for x in running] == [
+            projection_sum(seq, target, c).hex() for c in counts
+        ]
+
+
+def test_projection_sums_count_bounds():
+    cfg = ConstructionConfig(Angle(1.0), 3)
+    with pytest.raises(CountOutOfRange):
+        projection_sums(cfg, Line.X, (1, 0))
+    with pytest.raises(CountOutOfRange):
+        projection_sums(cfg, Line.X, (4,))
 
 
 def test_direction_angles_pi_over_3():

@@ -17,6 +17,7 @@ from trigsum import (
     even_index_sum,
     halfangle_free_sum,
     lagrange_sum,
+    naive_running_sums,
     naive_trig_sum,
     odd_index_sum,
     sum_auto,
@@ -42,6 +43,24 @@ def test_naive_examples():
         math.sqrt(3) / 2, abs=1e-15
     )
     assert naive_trig_sum(spec(PI / 6, 1, Family.EVEN)) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("phi", [0.37, -2.5, 123456.789, PI])
+def test_naive_running_sums_match_naive_bit_for_bit(family, phi):
+    counts = (5, 1, 64, 5, 1000, 2, 1, 999)
+    running = naive_running_sums(phi, family, counts)
+    assert [x.hex() for x in running] == [
+        naive_trig_sum(spec(phi, c, family)).hex() for c in counts
+    ]
+
+
+def test_naive_running_sums_validation():
+    assert naive_running_sums(1.0, Family.FULL, ()) == []
+    with pytest.raises(ValueError):
+        naive_running_sums(1.0, Family.EVEN, (3, 0))
+    with pytest.raises(ValueError):
+        naive_running_sums(math.nan, Family.FULL, (1,))
 
 
 def test_family_index_ranges():

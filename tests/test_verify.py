@@ -6,12 +6,27 @@ import math
 import pytest
 
 from trigsum import (
+    Angle,
     BadRange,
+    ConstructionConfig,
     EmptyGrid,
+    Family,
     GridSpec,
+    Line,
     ResidualPair,
+    ResidualReport,
+    SumSpec,
+    TrigsumError,
     compare_methods,
+    construct_points,
+    even_index_sum,
+    halfangle_free_sum,
+    lagrange_sum,
+    naive_trig_sum,
+    odd_index_sum,
+    projection_sum,
     residual_sweep,
+    x_coordinate_identity,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -213,3 +228,107 @@ def test_compare_methods_decomposition_accuracy():
 def test_compare_methods_validation():
     with pytest.raises(ValueError):
         compare_methods(1.0, 0)
+
+
+# -- per-point reference ---------------------------------------------------
+# The sweep evaluates each angle once for all counts. These are the per-point
+# definitions it replaced, built on the public kernels and the construction;
+# every report must match them byte for byte.
+
+
+def _naive(rad, count, family=Family.FULL):
+    return naive_trig_sum(SumSpec(Angle(rad), count, family))
+
+
+def _ref_projection(rad, k):
+    n = 2 * k + 2
+    seq = construct_points(ConstructionConfig(Angle(rad), n))
+    _, rhs = x_coordinate_identity(rad, k, threshold=0.0)
+    return projection_sum(seq, Line.X, n) - rhs
+
+
+REFERENCE_RULES = {
+    ResidualPair.LAGRANGE_VS_NAIVE: (
+        lambda a: abs(math.sin(0.5 * a)),
+        lambda a, m: lagrange_sum(a, m, threshold=0.0) - _naive(a, m),
+    ),
+    ResidualPair.HALFANGLE_VS_NAIVE: (
+        lambda a: abs(math.sin(a)),
+        lambda a, m: halfangle_free_sum(a, m, threshold=0.0) - _naive(a, m),
+    ),
+    ResidualPair.LAGRANGE_VS_HALFANGLE: (
+        lambda a: min(abs(math.sin(0.5 * a)), abs(math.sin(a))),
+        lambda a, m: lagrange_sum(a, m, threshold=0.0)
+        - halfangle_free_sum(a, m, threshold=0.0),
+    ),
+    ResidualPair.EVEN_VS_NAIVE: (
+        lambda a: abs(math.sin(a)),
+        lambda a, k: even_index_sum(a, k, threshold=0.0) - _naive(a, k, Family.EVEN),
+    ),
+    ResidualPair.ODD_VS_NAIVE: (
+        lambda a: abs(math.sin(a)),
+        lambda a, k: odd_index_sum(a, k, threshold=0.0) - _naive(a, k, Family.ODD),
+    ),
+    ResidualPair.PROJECTION_VS_CLOSED_FORM: (
+        lambda a: min(abs(math.sin(a)), abs(math.cos(a))),
+        _ref_projection,
+    ),
+    ResidualPair.DECOMPOSITION_VS_HALFANGLE: (
+        lambda a: abs(math.sin(a)),
+        lambda a, k: (even_index_sum(a, k, threshold=0.0) + odd_index_sum(a, k, threshold=0.0))
+        - halfangle_free_sum(a, 2 * k, threshold=0.0),
+    ),
+}
+
+
+def reference_sweep(grid, pair):
+    guard_fn, residual_fn = REFERENCE_RULES[pair]
+    rows = []
+    skipped = 0
+    for rad in grid.angles():
+        if guard_fn(rad) < grid.guard:
+            skipped += len(grid.counts)
+            continue
+        for count in grid.counts:
+            try:
+                rows.append((rad, count, residual_fn(rad, count)))
+            except TrigsumError:
+                skipped += 1
+    max_abs, abs_sum, argmax_angle, argmax_count = -1.0, 0.0, math.nan, 0
+    for rad, count, residual in rows:
+        abs_sum += abs(residual)
+        if abs(residual) > max_abs:
+            max_abs, argmax_angle, argmax_count = abs(residual), rad, count
+    return ResidualReport(
+        pair, len(rows), skipped, max_abs, abs_sum / len(rows), argmax_angle, argmax_count,
+        tuple(rows),
+    )
+
+
+IDENTITY_GRIDS = {
+    "unsorted-duplicated-counts": GridSpec(0.05, TWO_PI - 0.05, 61, (7, 3, 3, 1, 40, 7, 2)),
+    # 0.0 divides by an exact zero and pi by sin(pi) = 1.2e-16
+    "guard-zero-0-to-pi": GridSpec(0.0, math.pi, 9, (3, 1, 4), guard=0.0),
+    "negative-multi-turn": GridSpec(-20.0, 13.7, 151, (1, 2, 9, 40, 2)),
+    "negative-multi-turn-guard-zero": GridSpec(-3 * math.pi, 3 * math.pi, 25, (5, 1), guard=0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_GRIDS))
+def test_sweep_is_byte_identical_to_per_point_reference(name):
+    grid = IDENTITY_GRIDS[name]
+    for pair in ResidualPair:
+        report = residual_sweep(grid, pair)
+        expected = reference_sweep(grid, pair)
+        assert report.to_json() == expected.to_json(), pair
+        assert report.to_csv() == expected.to_csv(), pair
+
+
+def test_projection_sweep_with_tangency_snaps_is_byte_identical():
+    # the 500-angle projection grid: its tangency snaps leave residuals ~1e-5
+    grid = GridSpec(0.05, TWO_PI - 0.05, 500, (1, 10, 50, 100, 249))
+    report = residual_sweep(grid, ResidualPair.PROJECTION_VS_CLOSED_FORM)
+    expected = reference_sweep(grid, ResidualPair.PROJECTION_VS_CLOSED_FORM)
+    assert report.max_abs_residual > 1e-6
+    assert report.to_json() == expected.to_json()
+    assert report.to_csv() == expected.to_csv()
