@@ -1,9 +1,13 @@
-"""Angle value type: a finite angle in radians, never range-reduced."""
+"""Angle value type (a finite angle in radians, never range-reduced) and
+the uniform angle grid shared by sweeps and orbit sampling."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
+
+from .errors import BadRange
 
 
 @dataclass(frozen=True)
@@ -27,3 +31,28 @@ def as_angle(value: Angle | float) -> Angle:
     if isinstance(value, Angle):
         return value
     return Angle(float(value))
+
+
+def inclusive_grid(
+    lo: float, hi: float, steps: int, name: str, *, nonfinite: type[Exception] = BadRange
+) -> Iterator[float]:
+    """Validate a uniform endpoint-inclusive grid and return its angles.
+
+    The bounds must be finite (else nonfinite is raised), ordered, and span
+    a finite width; steps must be at least 2. Validation runs on the call;
+    the steps angles lo + (hi - lo) * i / (steps - 1) are then yielded in
+    increasing order, from the bounds coerced to float. name ("angle",
+    "alpha") prefixes the messages.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise nonfinite(f"{name} bounds must be finite")
+    if not lo < hi:
+        raise BadRange(f"{name}_min must be < {name}_max, got [{lo}, {hi}]")
+    if steps < 2:
+        raise BadRange(f"steps must be >= 2, got {steps}")
+    lo = float(lo)
+    span = float(hi) - lo
+    if not math.isfinite(span):
+        raise BadRange(f"{name}_max - {name}_min overflows, got [{lo}, {hi}]")
+    last = steps - 1
+    return (lo + span * i / last for i in range(steps))

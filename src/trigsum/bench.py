@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .angle import Angle
-from .formatting import fmt17
+from .formatting import json_line
 from .kernels import Family, SumSpec, halfangle_free_sum, naive_trig_sum
 
 #: Fixed benchmark angle, comfortably away from every singularity.
@@ -23,13 +23,7 @@ class BenchResult:
         return self.naive_ns_per_eval / self.closed_ns_per_eval
 
     def to_json(self) -> str:
-        return (
-            "{"
-            f'"naive_ns_per_eval": {fmt17(self.naive_ns_per_eval)}, '
-            f'"closed_ns_per_eval": {fmt17(self.closed_ns_per_eval)}, '
-            f'"speedup": {fmt17(self.speedup)}'
-            "}\n"
-        )
+        return json_line({**asdict(self), "speedup": self.speedup})
 
 
 def _ns_per_eval(fn, repeats: int) -> float:

@@ -8,9 +8,8 @@ sin a vanishes; the direct quotient sin(n a)/sin a is preferred elsewhere.
 from __future__ import annotations
 
 import math
-from typing import Union
-
-import numpy as np
+import sys
+from typing import TYPE_CHECKING, Union
 
 from .angle import Angle, as_angle
 from .errors import DegreeTooLarge
@@ -23,7 +22,19 @@ MAX_DEGREE = 10**6
 #: polynomial branch stays stable there (its error grows with n instead).
 SIN_RATIO_SWITCH = 1e-4
 
-FloatOrArray = Union[float, np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+
+FloatOrArray = Union[float, "np.ndarray"]
+
+
+def _start(x: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+    """(x, U_0(x)): an ndarray with ones like it, or float(x) with 1.0."""
+    # numpy is looked up, not imported: an ndarray exists only once it is loaded
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, np.ndarray):
+        return x, np.ones_like(x, dtype=float)
+    return float(x), 1.0
 
 
 def chebyshev_u(degree: int, x: FloatOrArray, *, max_degree: int = MAX_DEGREE) -> FloatOrArray:
@@ -33,11 +44,7 @@ def chebyshev_u(degree: int, x: FloatOrArray, *, max_degree: int = MAX_DEGREE) -
     accepts a scalar or an ndarray, and the return type matches the input.
     """
     _check_degree(degree, max_degree)
-    if isinstance(x, np.ndarray):
-        u_prev: FloatOrArray = np.ones_like(x, dtype=float)
-    else:
-        x = float(x)
-        u_prev = 1.0
+    x, u_prev = _start(x)
     if degree == 0:
         return u_prev
     u = 2.0 * x
@@ -53,11 +60,8 @@ def u_sequence(max_deg: int, x: FloatOrArray, *, max_degree: int = MAX_DEGREE) -
     calling chebyshev_u per degree, which would repeat the whole recurrence.
     """
     _check_degree(max_deg, max_degree)
-    if isinstance(x, np.ndarray):
-        values: list = [np.ones_like(x, dtype=float)]
-    else:
-        x = float(x)
-        values = [1.0]
+    x, one = _start(x)
+    values: list = [one]
     if max_deg == 0:
         return values
     values.append(2.0 * x)

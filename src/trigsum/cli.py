@@ -9,7 +9,6 @@ temp file renamed into place, so a failing run never leaves a partial file.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
@@ -17,11 +16,14 @@ import tempfile
 from .angle import Angle
 from .bench import measure
 from .errors import TrigsumError
-from .formatting import fmt17
-from .geometry import ConstructionConfig, Line, PointSeq, construct_points
+from .formatting import json_line
+from .geometry import ConstructionConfig, Line, construct_points
 from .kernels import (
+    DEFAULT_FULL_FORM,
     DEFAULT_THRESHOLD,
-    Family,
+    FULL_FORMS,
+    NAIVE,
+    ROUTES,
     SumSpec,
     halfangle_free_sum,
     lagrange_sum,
@@ -58,8 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sum", help="evaluate a full-family cosine partial sum")
     p.add_argument("--phi", type=float, required=True, help="angle in radians")
     p.add_argument("--m", type=int, required=True, help="number of terms")
-    p.add_argument("--method", choices=["lagrange", "halfangle", "auto", "naive"],
-                   default="auto")
+    p.add_argument("--method", choices=[*FULL_FORMS, "auto", NAIVE], default="auto")
     p.add_argument("--threshold", type=float, default=None,
                    help=f"singularity threshold (default {DEFAULT_THRESHOLD:g}, "
                         f"or ${THRESHOLD_ENV})")
@@ -115,53 +116,33 @@ def _resolve_threshold(parser: argparse.ArgumentParser, flag_value: float | None
         parser.error(f"invalid {THRESHOLD_ENV} value {raw!r}")
 
 
-def _pointseq_json(seq: PointSeq) -> str:
-    points = ", ".join(
-        f'[{p.index}, "{p.line.value}", {fmt17(p.point.x)}, {fmt17(p.point.y)}]'
-        for p in seq.points
-    )
-    events = ", ".join(str(i) for i in seq.tangency_events)
-    return (
-        "{"
-        f'"alpha": {fmt17(seq.alpha.radians)}, '
-        f'"start_line": "{seq.start_line.value}", '
-        f'"points": [{points}], '
-        f'"tangency_events": [{events}]'
-        "}\n"
-    )
-
-
-def _sum_json(value: float, method: str, proximity: float) -> str:
-    return (
-        "{"
-        f'"value": {fmt17(value)}, '
-        f'"method": "{method}", '
-        f'"singular_proximity": {fmt17(proximity)}'
-        "}\n"
-    )
-
-
 def _run_construct(args: argparse.Namespace) -> str:
     cfg = ConstructionConfig(alpha=Angle(args.alpha), n=args.n, start_line=Line(args.start_line))
     seq = construct_points(cfg)
-    return seq.to_csv() if args.format == "csv" else _pointseq_json(seq)
+    if args.format == "csv":
+        return seq.to_csv()
+    return json_line({
+        "alpha": seq.alpha.radians,
+        "start_line": seq.start_line.value,
+        "points": [(p.index, p.line.value, p.point.x, p.point.y) for p in seq.points],
+        "tangency_events": seq.tangency_events,
+    })
 
 
 def _run_sum(args: argparse.Namespace) -> str:
     threshold = args.effective_threshold
     if args.method == "auto":
         result = sum_auto(SumSpec(Angle(args.phi), args.m), threshold=threshold)
-        return _sum_json(result.value, result.method.value, result.singular_proximity)
-    if args.method == "lagrange":
-        value = lagrange_sum(args.phi, args.m, threshold=threshold)
-        proximity = abs(math.sin(0.5 * args.phi))
-    elif args.method == "halfangle":
-        value = halfangle_free_sum(args.phi, args.m, threshold=threshold)
-        proximity = abs(math.sin(args.phi))
+        value, method, proximity = result.value, result.method.value, result.singular_proximity
+    elif args.method == NAIVE:
+        # reported against the denominator of sum_auto's default form
+        value = naive_trig_sum(SumSpec(Angle(args.phi), args.m))
+        method, proximity = NAIVE, abs(ROUTES[DEFAULT_FULL_FORM].denominator(args.phi))
     else:
-        value = naive_trig_sum(SumSpec(Angle(args.phi), args.m, Family.FULL))
-        proximity = abs(math.sin(args.phi))
-    return _sum_json(value, args.method, proximity)
+        kernel = {"lagrange": lagrange_sum, "halfangle": halfangle_free_sum}[args.method]
+        value = kernel(args.phi, args.m, threshold=threshold)
+        method, proximity = args.method, abs(ROUTES[args.method].denominator(args.phi))
+    return json_line({"value": value, "method": method, "singular_proximity": proximity})
 
 
 def _run_verify(args: argparse.Namespace) -> str:

@@ -24,7 +24,7 @@ from .errors import (
     ExcludedAngle,
     SingularAngle,
 )
-from .formatting import fmt17
+from .formatting import csv_text
 
 #: Rejection tolerance for degenerate opening angles. Near |cos a| = 0 every
 #: second point falls back onto A_0 or A_1; near |sin a| = 0 the two lines
@@ -113,10 +113,8 @@ class PointSeq:
 
     def to_csv(self) -> str:
         """Serialize as CSV rows index,line,x,y ordered by index."""
-        rows = ["index,line,x,y"]
-        for p in self.points:
-            rows.append(f"{p.index},{p.line.value},{fmt17(p.point.x)},{fmt17(p.point.y)}")
-        return "\n".join(rows) + "\n"
+        rows = ((p.index, p.line.value, p.point.x, p.point.y) for p in self.points)
+        return csv_text("index,line,x,y", rows)
 
 
 def line_for_index(index: int, start_line: Line) -> Line:

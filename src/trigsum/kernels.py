@@ -10,7 +10,8 @@ Each family has a closed form whose denominator (sin(phi/2) or sin(phi) or
 sin(alpha)) vanishes on a measure-zero singular set; near it the closed form
 amplifies rounding error like 1/|denominator|, so sum_auto falls back to the
 literal term-by-term sum when the denominator magnitude drops below a policy
-threshold.
+threshold. ROUTES records each closed form with the sine it divides by; the
+kernels, sum_auto, the sweeps and the CLI all take it from there.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .angle import Angle, as_angle
 from .errors import SingularDenominator
@@ -143,28 +144,60 @@ def _guard(den: float, threshold: float, what: str) -> float:
     return den
 
 
-# Each closed form is written once, as a function of the angle, its
-# denominator (already checked) and the count.
+@dataclass(frozen=True)
+class Route:
+    """One closed form: the sum it evaluates and the sine it divides by.
+
+    family is None for the terminal abscissa, which is no family sum; label
+    names the denominator in SingularDenominator messages; evaluate maps
+    (radians, checked denominator, count) to the value.
+    """
+
+    name: str
+    family: Family | None
+    label: str
+    denominator: Callable[[float], float]
+    evaluate: Callable[[float, float, int], float]
+
+    def checked(self, rad: float, threshold: float) -> float:
+        """The denominator at rad; raises below threshold or at exactly zero."""
+        return _guard(self.denominator(rad), threshold, self.label)
+
+    def __call__(self, angle: Angle | float, count: int, threshold: float) -> float:
+        """The closed form at (angle, count); raises for count < 1 and where
+        the denominator is below threshold or exactly zero."""
+        if count < 1:
+            symbol = "m" if self.family is Family.FULL else "k"
+            raise ValueError(f"{symbol} must be >= 1, got {count}")
+        rad = as_angle(angle).radians
+        return self.evaluate(rad, self.checked(rad, threshold), count)
 
 
-def _lagrange(rad: float, den: float, m: int) -> float:
-    return 0.5 * (math.sin((m + 0.5) * rad) / den - 1.0)
+#: Every closed form by name. The even and odd routes are named after their
+#: family; the full family has one route per form.
+ROUTES: dict[str, Route] = {
+    route.name: route
+    for route in (
+        Route("lagrange", Family.FULL, "sin(phi/2)", lambda rad: math.sin(0.5 * rad),
+              lambda rad, den, m: 0.5 * (math.sin((m + 0.5) * rad) / den - 1.0)),
+        Route("halfangle", Family.FULL, "sin(phi)", math.sin,
+              lambda rad, den, m: 0.5 * ((math.sin((m + 1) * rad) + math.sin(m * rad)) / den
+                                         - 1.0)),
+        Route("even", Family.EVEN, "sin(alpha)", math.sin,
+              lambda rad, den, k: 0.5 * (math.sin((2 * k + 1) * rad) / den - 1.0)),
+        Route("odd", Family.ODD, "sin(alpha)", math.sin,
+              lambda rad, den, k: 0.5 * math.sin(2 * k * rad) / den),
+        Route("x_terminal", None, "sin(alpha)", math.sin,
+              lambda rad, den, k: math.cos(rad) * math.sin((2 * k + 2) * rad) / den),
+    )
+}
 
+#: Name of the literal term-by-term sum wherever it stands beside the routes.
+NAIVE = "naive"
 
-def _halfangle(rad: float, den: float, m: int) -> float:
-    return 0.5 * ((math.sin((m + 1) * rad) + math.sin(m * rad)) / den - 1.0)
-
-
-def _even(rad: float, den: float, k: int) -> float:
-    return 0.5 * (math.sin((2 * k + 1) * rad) / den - 1.0)
-
-
-def _odd(rad: float, den: float, k: int) -> float:
-    return 0.5 * math.sin(2 * k * rad) / den
-
-
-def _x_terminal(rad: float, den: float, k: int) -> float:
-    return math.cos(rad) * math.sin((2 * k + 2) * rad) / den
+#: The full-family forms sum_auto accepts, and the one it uses by default.
+FULL_FORMS = tuple(name for name, route in ROUTES.items() if route.family is Family.FULL)
+DEFAULT_FULL_FORM = "halfangle"
 
 
 def lagrange_sum(
@@ -175,11 +208,7 @@ def lagrange_sum(
     Returns (sin((m + 1/2) phi) / sin(phi/2) - 1) / 2; singular where
     sin(phi/2) vanishes (phi near 0 or 2 pi), regular at phi = pi.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    rad = as_angle(phi).radians
-    den = _guard(math.sin(0.5 * rad), threshold, "sin(phi/2)")
-    return _lagrange(rad, den, m)
+    return ROUTES["lagrange"](phi, m, threshold)
 
 
 def halfangle_free_sum(
@@ -191,11 +220,7 @@ def halfangle_free_sum(
     where sin(phi) vanishes, so phi near 0, pi, and 2 pi are all excluded
     and left to the dispatcher's fallback.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    rad = as_angle(phi).radians
-    den = _guard(math.sin(rad), threshold, "sin(phi)")
-    return _halfangle(rad, den, m)
+    return ROUTES["halfangle"](phi, m, threshold)
 
 
 def even_index_sum(
@@ -205,11 +230,7 @@ def even_index_sum(
 
     Returns (sin((2k+1) alpha) / sin(alpha) - 1) / 2.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    rad = as_angle(alpha).radians
-    den = _guard(math.sin(rad), threshold, "sin(alpha)")
-    return _even(rad, den, k)
+    return ROUTES["even"](alpha, k, threshold)
 
 
 def odd_index_sum(
@@ -219,11 +240,7 @@ def odd_index_sum(
 
     Returns sin(2 k alpha) / sin(alpha) / 2.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    rad = as_angle(alpha).radians
-    den = _guard(math.sin(rad), threshold, "sin(alpha)")
-    return _odd(rad, den, k)
+    return ROUTES["odd"](alpha, k, threshold)
 
 
 def x_coordinate_identity(
@@ -244,15 +261,15 @@ def x_coordinate_identity(
     for l in range(1, k + 1):
         lhs += 2.0 * math.cos(2 * l * rad)
     lhs += math.cos((2 * k + 2) * rad)
-    den = _guard(math.sin(rad), threshold, "sin(alpha)")
-    return lhs, _x_terminal(rad, den, k)
+    terminal = ROUTES["x_terminal"]
+    return lhs, terminal.evaluate(rad, terminal.checked(rad, threshold), k)
 
 
 def sum_auto(
     spec: SumSpec,
     *,
     threshold: float = DEFAULT_THRESHOLD,
-    full_form: str = "halfangle",
+    full_form: str = DEFAULT_FULL_FORM,
 ) -> SumValue:
     """Evaluate a sum by closed form, or by the oracle near its singularity.
 
@@ -263,22 +280,12 @@ def sum_auto(
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    if full_form not in ("halfangle", "lagrange"):
+    if full_form not in FULL_FORMS:
         raise ValueError(f"full_form must be 'halfangle' or 'lagrange', got {full_form!r}")
+    route = ROUTES[full_form if spec.family is Family.FULL else spec.family.value]
     rad = spec.angle.radians
-    if spec.family is Family.FULL and full_form == "lagrange":
-        proximity = abs(math.sin(0.5 * rad))
-    else:
-        proximity = abs(math.sin(rad))
+    den = route.denominator(rad)
+    proximity = abs(den)
     if proximity < threshold:
         return SumValue(naive_trig_sum(spec), Method.NAIVE_FALLBACK, proximity)
-    if spec.family is Family.FULL:
-        if full_form == "lagrange":
-            value = lagrange_sum(spec.angle, spec.count, threshold=threshold)
-        else:
-            value = halfangle_free_sum(spec.angle, spec.count, threshold=threshold)
-    elif spec.family is Family.EVEN:
-        value = even_index_sum(spec.angle, spec.count, threshold=threshold)
-    else:
-        value = odd_index_sum(spec.angle, spec.count, threshold=threshold)
-    return SumValue(value, Method.CLOSED_FORM, proximity)
+    return SumValue(route.evaluate(rad, den, spec.count), Method.CLOSED_FORM, proximity)

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadRange
-from .formatting import fmt12, fmt17
+from .angle import inclusive_grid
+from .formatting import csv_text, fmt12, json_line
 from .geometry import chebyshev_form_point
 
 TWO_PI = 2.0 * math.pi
@@ -46,55 +46,29 @@ def orbit_samples(
     """Sample the orbit of A_n uniformly, inclusive of both endpoints."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not (math.isfinite(alpha_min) and math.isfinite(alpha_max)):
-        raise BadRange("alpha bounds must be finite")
-    if not alpha_min < alpha_max:
-        raise BadRange(
-            f"alpha_min must be < alpha_max, got [{alpha_min}, {alpha_max}]"
-        )
-    if steps < 2:
-        raise BadRange(f"steps must be >= 2, got {steps}")
-    span = alpha_max - alpha_min
-    last = steps - 1
     samples = []
-    for i in range(steps):
-        a = alpha_min + span * i / last
+    for a in inclusive_grid(alpha_min, alpha_max, steps, "alpha"):
         p = chebyshev_form_point(a, n)
         samples.append((a, p.x, p.y))
-    return OrbitCurve(n, alpha_min, alpha_max, steps, tuple(samples))
+    # float bounds render like the samples: 1e+17, not 100000000000000000
+    return OrbitCurve(n, float(alpha_min), float(alpha_max), steps, tuple(samples))
 
 
 def emit(curve: OrbitCurve, fmt: EmitFormat) -> bytes:
     """Serialize a curve; a pure function, byte-identical for equal inputs."""
     if fmt is EmitFormat.CSV:
-        text = _emit_csv(curve)
+        text = csv_text("alpha,x,y", curve.samples)
     elif fmt is EmitFormat.JSON:
-        text = _emit_json(curve)
+        text = json_line({
+            "n": curve.n,
+            "alpha_min": curve.alpha_min,
+            "alpha_max": curve.alpha_max,
+            "steps": curve.steps,
+            "points": curve.samples,
+        })
     else:
         text = _emit_svg(curve)
     return text.encode("utf-8")
-
-
-def _emit_csv(curve: OrbitCurve) -> str:
-    lines = ["alpha,x,y"]
-    for a, x, y in curve.samples:
-        lines.append(f"{fmt17(a)},{fmt17(x)},{fmt17(y)}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_json(curve: OrbitCurve) -> str:
-    points = ", ".join(
-        f"[{fmt17(a)}, {fmt17(x)}, {fmt17(y)}]" for a, x, y in curve.samples
-    )
-    return (
-        "{"
-        f'"n": {curve.n}, '
-        f'"alpha_min": {fmt17(curve.alpha_min)}, '
-        f'"alpha_max": {fmt17(curve.alpha_max)}, '
-        f'"steps": {curve.steps}, '
-        f'"points": [{points}]'
-        "}\n"
-    )
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:

@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 from . import geometry, kernels
-from .angle import Angle, as_angle
-from .errors import BadRange, EmptyGrid, SingularDenominator, TrigsumError
-from .formatting import fmt17
+from .angle import Angle, as_angle, inclusive_grid
+from .errors import EmptyGrid, SingularDenominator, TrigsumError
+from .formatting import csv_text, json_line
 
 #: Above this many grid points, per-point rows are dropped by default and
 #: only the aggregate statistics are kept.
@@ -54,14 +55,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(self.counts))
-        if not (math.isfinite(self.angle_min) and math.isfinite(self.angle_max)):
-            raise ValueError("angle bounds must be finite")
-        if not self.angle_min < self.angle_max:
-            raise BadRange(
-                f"angle_min must be < angle_max, got [{self.angle_min}, {self.angle_max}]"
-            )
-        if self.steps < 2:
-            raise BadRange(f"steps must be >= 2, got {self.steps}")
+        inclusive_grid(self.angle_min, self.angle_max, self.steps, "angle", nonfinite=ValueError)
         if not self.counts:
             raise ValueError("counts must be non-empty")
         if any(c < 1 for c in self.counts):
@@ -71,9 +65,7 @@ class GridSpec:
 
     def angles(self) -> list[float]:
         """The grid angles, endpoint-inclusive, in increasing order."""
-        span = self.angle_max - self.angle_min
-        last = self.steps - 1
-        return [self.angle_min + span * i / last for i in range(self.steps)]
+        return list(inclusive_grid(self.angle_min, self.angle_max, self.steps, "angle"))
 
 
 @dataclass(frozen=True)
@@ -91,69 +83,48 @@ class ResidualReport:
 
     def to_json(self) -> str:
         """One-line JSON summary, floats with 17 significant digits."""
-        return (
-            "{"
-            f'"pair": "{self.pair.value}", '
-            f'"evaluated": {self.evaluated}, '
-            f'"skipped": {self.skipped}, '
-            f'"max_abs_residual": {fmt17(self.max_abs_residual)}, '
-            f'"mean_abs_residual": {fmt17(self.mean_abs_residual)}, '
-            f'"argmax_angle": {fmt17(self.argmax_angle)}, '
-            f'"argmax_count": {self.argmax_count}'
-            "}\n"
-        )
+        return json_line({
+            "pair": self.pair.value,
+            "evaluated": self.evaluated,
+            "skipped": self.skipped,
+            "max_abs_residual": self.max_abs_residual,
+            "mean_abs_residual": self.mean_abs_residual,
+            "argmax_angle": self.argmax_angle,
+            "argmax_count": self.argmax_count,
+        })
 
     def to_csv(self) -> str:
         """Per-point rows as CSV; requires the sweep to have kept rows."""
         if self.rows is None:
             raise ValueError("rows were not retained for this sweep")
-        lines = ["pair,angle,count,residual"]
         name = self.pair.value
-        for angle, count, residual in self.rows:
-            lines.append(f"{name},{fmt17(angle)},{count},{fmt17(residual)}")
-        return "\n".join(lines) + "\n"
+        return csv_text("pair,angle,count,residual", ((name, *row) for row in self.rows))
 
 
 # Each pair rule maps (angle, guard, counts) to the residuals at every count.
-# It computes the pair's denominators once and raises TrigsumError when one
-# is below the guard or exactly zero: the sweep then skips the whole angle.
+# It checks all of the pair's denominators before it evaluates either side and
+# raises TrigsumError when one is below the guard or exactly zero: the sweep
+# then skips the whole angle.
+
+_Rule = Callable[[Angle, float, Sequence[int]], list[float]]
 
 
-def _lagrange_vs_naive(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
-    rad = angle.radians
-    den = kernels._guard(math.sin(0.5 * rad), guard, "sin(phi/2)")
-    oracle = kernels.naive_running_sums(angle, kernels.Family.FULL, counts)
-    return [kernels._lagrange(rad, den, m) - ref for m, ref in zip(counts, oracle)]
+def _route_pair(first: str, second: str) -> _Rule:
+    """Route first against route second, or against the literal sum of
+    first's family (one ordered pass up to max(counts)) when second is
+    kernels.NAIVE."""
+    routes = [kernels.ROUTES[name] for name in (first, second) if name != kernels.NAIVE]
+    evaluates = [route.evaluate for route in routes]
 
+    def rule(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
+        rad = angle.radians
+        dens = [route.checked(rad, guard) for route in routes]
+        sides = [[evaluate(rad, den, c) for c in counts] for evaluate, den in zip(evaluates, dens)]
+        if second == kernels.NAIVE:
+            sides.append(kernels.naive_running_sums(angle, routes[0].family, counts))
+        return [a - b for a, b in zip(*sides)]
 
-def _halfangle_vs_naive(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
-    rad = angle.radians
-    den = kernels._guard(math.sin(rad), guard, "sin(phi)")
-    oracle = kernels.naive_running_sums(angle, kernels.Family.FULL, counts)
-    return [kernels._halfangle(rad, den, m) - ref for m, ref in zip(counts, oracle)]
-
-
-def _lagrange_vs_halfangle(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
-    rad = angle.radians
-    half = kernels._guard(math.sin(0.5 * rad), guard, "sin(phi/2)")
-    whole = kernels._guard(math.sin(rad), guard, "sin(phi)")
-    return [
-        kernels._lagrange(rad, half, m) - kernels._halfangle(rad, whole, m) for m in counts
-    ]
-
-
-def _even_vs_naive(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
-    rad = angle.radians
-    den = kernels._guard(math.sin(rad), guard, "sin(alpha)")
-    oracle = kernels.naive_running_sums(angle, kernels.Family.EVEN, counts)
-    return [kernels._even(rad, den, k) - ref for k, ref in zip(counts, oracle)]
-
-
-def _odd_vs_naive(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
-    rad = angle.radians
-    den = kernels._guard(math.sin(rad), guard, "sin(alpha)")
-    oracle = kernels.naive_running_sums(angle, kernels.Family.ODD, counts)
-    return [kernels._odd(rad, den, k) - ref for k, ref in zip(counts, oracle)]
+    return rule
 
 
 def _projection_vs_closed_form(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
@@ -161,30 +132,32 @@ def _projection_vs_closed_form(angle: Angle, guard: float, counts: Sequence[int]
     # abscissa, whose closed form is the identity's right-hand side. One
     # construction walk, to the largest n, serves every count.
     rad = angle.radians
-    den = kernels._guard(math.sin(rad), guard, "sin(alpha)")
+    terminal = kernels.ROUTES["x_terminal"]
+    den = terminal.checked(rad, guard)
     kernels._guard(math.cos(rad), guard, "cos(alpha)")
     ns = [2 * k + 2 for k in counts]
     cfg = geometry.ConstructionConfig(angle, max(ns))
     lhs = geometry.projection_sums(cfg, geometry.Line.X, ns)
-    return [x - kernels._x_terminal(rad, den, k) for k, x in zip(counts, lhs)]
+    return [x - terminal.evaluate(rad, den, k) for k, x in zip(counts, lhs)]
 
 
 def _decomposition_vs_halfangle(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
+    # even + odd at count k against the full whole-angle form at 2k
     rad = angle.radians
-    den = kernels._guard(math.sin(rad), guard, "sin(alpha)")
+    routes = [kernels.ROUTES[name] for name in ("even", "odd", "halfangle")]
+    d_even, d_odd, d_whole = [route.checked(rad, guard) for route in routes]
+    even, odd, whole = [route.evaluate for route in routes]
     return [
-        (kernels._even(rad, den, k) + kernels._odd(rad, den, k))
-        - kernels._halfangle(rad, den, 2 * k)
-        for k in counts
+        (even(rad, d_even, k) + odd(rad, d_odd, k)) - whole(rad, d_whole, 2 * k) for k in counts
     ]
 
 
-_PAIR_RULES: dict[ResidualPair, Callable[[Angle, float, Sequence[int]], list[float]]] = {
-    ResidualPair.LAGRANGE_VS_NAIVE: _lagrange_vs_naive,
-    ResidualPair.HALFANGLE_VS_NAIVE: _halfangle_vs_naive,
-    ResidualPair.LAGRANGE_VS_HALFANGLE: _lagrange_vs_halfangle,
-    ResidualPair.EVEN_VS_NAIVE: _even_vs_naive,
-    ResidualPair.ODD_VS_NAIVE: _odd_vs_naive,
+_PAIR_RULES: dict[ResidualPair, _Rule] = {
+    ResidualPair.LAGRANGE_VS_NAIVE: _route_pair("lagrange", kernels.NAIVE),
+    ResidualPair.HALFANGLE_VS_NAIVE: _route_pair("halfangle", kernels.NAIVE),
+    ResidualPair.LAGRANGE_VS_HALFANGLE: _route_pair("lagrange", "halfangle"),
+    ResidualPair.EVEN_VS_NAIVE: _route_pair("even", kernels.NAIVE),
+    ResidualPair.ODD_VS_NAIVE: _route_pair("odd", kernels.NAIVE),
     ResidualPair.PROJECTION_VS_CLOSED_FORM: _projection_vs_closed_form,
     ResidualPair.DECOMPOSITION_VS_HALFANGLE: _decomposition_vs_halfangle,
 }
@@ -276,22 +249,16 @@ def compare_methods(phi: Angle | float, m: int) -> list[MethodComparison]:
         raise ValueError(f"m must be >= 1, got {m}")
     rad = as_angle(phi).radians
     oracle = kernels.naive_trig_sum(kernels.SumSpec(Angle(rad), m, kernels.Family.FULL))
-    out = [MethodComparison("naive", oracle, 0.0)]
+    out = [MethodComparison(kernels.NAIVE, oracle, 0.0)]
 
-    closed: Sequence[tuple[str, Callable[[], float]]] = [
-        ("lagrange", lambda: kernels.lagrange_sum(rad, m)),
-        ("halfangle", lambda: kernels.halfangle_free_sum(rad, m)),
-    ]
+    routes, threshold = kernels.ROUTES, kernels.DEFAULT_THRESHOLD
+    closed = {name: partial(routes[name], rad, m, threshold) for name in kernels.FULL_FORMS}
     if m % 2 == 0:
         k = m // 2
-        closed = [
-            *closed,
-            (
-                "decomposition",
-                lambda: kernels.even_index_sum(rad, k) + kernels.odd_index_sum(rad, k),
-            ),
-        ]
-    for name, fn in closed:
+        closed["decomposition"] = (
+            lambda: routes["even"](rad, k, threshold) + routes["odd"](rad, k, threshold)
+        )
+    for name, fn in closed.items():
         try:
             value = fn()
         except SingularDenominator as exc:

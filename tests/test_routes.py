@@ -1,0 +1,185 @@
+"""The route table against the public kernels, the CLI and the parent's values.
+
+Every closed form divides by one sine, recorded once in kernels.ROUTES. These
+tests check that the public kernels, sum_auto, compare_methods and the CLI
+all follow that table, and pin the values sum_auto and compare_methods give
+at regular angles, at pi and at both parities of the count.
+"""
+
+import io
+import math
+import re
+from contextlib import redirect_stdout
+
+import pytest
+
+from trigsum import (
+    DEFAULT_THRESHOLD,
+    Angle,
+    Family,
+    SingularDenominator,
+    SumSpec,
+    compare_methods,
+    even_index_sum,
+    halfangle_free_sum,
+    lagrange_sum,
+    odd_index_sum,
+    sum_auto,
+    x_coordinate_identity,
+)
+from trigsum.cli import run
+from trigsum.kernels import DEFAULT_FULL_FORM, FULL_FORMS, NAIVE, ROUTES
+
+#: Each public kernel and the route it evaluates.
+KERNELS = {
+    "lagrange": lagrange_sum,
+    "halfangle": halfangle_free_sum,
+    "even": even_index_sum,
+    "odd": odd_index_sum,
+    "x_terminal": x_coordinate_identity,
+}
+
+
+def test_every_route_has_its_kernel():
+    assert list(ROUTES) == ["lagrange", "halfangle", "even", "odd", "x_terminal"]
+    assert all(name == route.name for name, route in ROUTES.items())
+    assert set(KERNELS) == set(ROUTES)
+
+
+def probe_angles(threshold):
+    """0, pi and 2 pi, and angles just either side of |denominator| = threshold
+    for both the half-angle and the whole-angle sine."""
+    whole = math.asin(threshold)
+    half = 2.0 * math.asin(threshold)
+    near = []
+    for base in (whole, math.pi - whole, math.pi + whole, 2 * math.pi - whole, half,
+                 2 * math.pi - half, -whole):
+        near += [base * (1 - 1e-9), base, base * (1 + 1e-9)]
+    return [0.0, math.pi, 2 * math.pi, 1.0, 2.5, *near]
+
+
+def raises_singular(fn):
+    try:
+        fn()
+    except SingularDenominator:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", list(KERNELS))
+@pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 1e-3, 0.0])
+def test_kernel_raises_exactly_where_its_route_denominator_is_small(name, threshold):
+    route, kernel = ROUTES[name], KERNELS[name]
+    outcomes = set()
+    for rad in probe_angles(threshold or DEFAULT_THRESHOLD):
+        den = route.denominator(rad)
+        expected = abs(den) < threshold or den == 0.0
+        assert raises_singular(lambda: kernel(rad, 3, threshold=threshold)) == expected, rad
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_kernel_message_names_its_route_label(name):
+    with pytest.raises(SingularDenominator, match=re.escape(f"|{ROUTES[name].label}|")):
+        KERNELS[name](0.0, 2)
+
+
+def test_sum_method_choices_are_the_full_forms_then_auto_and_naive():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run(["sum", "--help"]) == 0
+    choices = re.search(r"--method \{([^}]*)\}", buf.getvalue()).group(1).split(",")
+    assert choices == [*FULL_FORMS, "auto", NAIVE]
+    assert choices == ["lagrange", "halfangle", "auto", "naive"]
+
+
+@pytest.mark.parametrize("phi", [1.0, math.pi, 3.1, 1e-5])
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("form", FULL_FORMS)
+def test_sum_auto_proximity_is_its_route_denominator(phi, family, form):
+    route = ROUTES[form] if family is Family.FULL else ROUTES[family.value]
+    result = sum_auto(SumSpec(Angle(phi), 4, family), full_form=form)
+    assert result.singular_proximity == abs(route.denominator(phi))
+
+
+def test_default_full_form_is_sum_auto_default():
+    spec = SumSpec(Angle(3.1), 5)
+    assert sum_auto(spec) == sum_auto(spec, full_form=DEFAULT_FULL_FORM)
+
+SUM_AUTO = [
+    (1.0, 7, 'full', 'halfangle', 0.47825407831383693, 'ClosedForm', 0.8414709848078965),
+    (1.0, 7, 'full', 'lagrange', 0.47825407831383693, 'ClosedForm', 0.479425538604203),
+    (1.0, 7, 'even', 'halfangle', -0.11360055670512859, 'ClosedForm', 0.8414709848078965),
+    (1.0, 7, 'even', 'lagrange', -0.11360055670512859, 'ClosedForm', 0.8414709848078965),
+    (1.0, 7, 'odd', 'halfangle', 0.5886164666277952, 'ClosedForm', 0.8414709848078965),
+    (1.0, 7, 'odd', 'lagrange', 0.5886164666277952, 'ClosedForm', 0.8414709848078965),
+    (1.0, 8, 'full', 'halfangle', 0.3327540445052234, 'ClosedForm', 0.8414709848078965),
+    (1.0, 8, 'full', 'lagrange', 0.3327540445052233, 'ClosedForm', 0.479425538604203),
+    (1.0, 8, 'even', 'halfangle', -1.0712600370285132, 'ClosedForm', 0.8414709848078965),
+    (1.0, 8, 'even', 'lagrange', -1.0712600370285132, 'ClosedForm', 0.8414709848078965),
+    (1.0, 8, 'odd', 'halfangle', -0.1710714462310261, 'ClosedForm', 0.8414709848078965),
+    (1.0, 8, 'odd', 'lagrange', -0.1710714462310261, 'ClosedForm', 0.8414709848078965),
+    (3.141592653589793, 7, 'full', 'halfangle', -1.0, 'NaiveFallback', 1.2246467991473532e-16),
+    (3.141592653589793, 7, 'full', 'lagrange', -1.0, 'ClosedForm', 1.0),
+    (3.141592653589793, 7, 'even', 'halfangle', 7.0, 'NaiveFallback', 1.2246467991473532e-16),
+    (3.141592653589793, 7, 'even', 'lagrange', 7.0, 'NaiveFallback', 1.2246467991473532e-16),
+    (3.141592653589793, 7, 'odd', 'halfangle', -7.0, 'NaiveFallback', 1.2246467991473532e-16),
+    (3.141592653589793, 7, 'odd', 'lagrange', -7.0, 'NaiveFallback', 1.2246467991473532e-16),
+    (3.141592653589793, 8, 'full', 'halfangle', 0.0, 'NaiveFallback', 1.2246467991473532e-16),
+    (3.141592653589793, 8, 'full', 'lagrange', 0.0, 'ClosedForm', 1.0),
+    (3.141592653589793, 8, 'even', 'halfangle', 8.0, 'NaiveFallback', 1.2246467991473532e-16),
+    (3.141592653589793, 8, 'even', 'lagrange', 8.0, 'NaiveFallback', 1.2246467991473532e-16),
+    (3.141592653589793, 8, 'odd', 'halfangle', -8.0, 'NaiveFallback', 1.2246467991473532e-16),
+    (3.141592653589793, 8, 'odd', 'lagrange', -8.0, 'NaiveFallback', 1.2246467991473532e-16),
+    (2.5, 7, 'full', 'halfangle', -0.5523673117939154, 'ClosedForm', 0.5984721441039565),
+    (2.5, 7, 'full', 'lagrange', -0.5523673117939154, 'ClosedForm', 0.9489846193555862),
+    (2.5, 7, 'even', 'halfangle', -0.6652531379991046, 'ClosedForm', 0.5984721441039565),
+    (2.5, 7, 'even', 'lagrange', -0.6652531379991046, 'ClosedForm', 0.5984721441039565),
+    (2.5, 7, 'odd', 'halfangle', -0.35772982394797503, 'ClosedForm', 0.5984721441039565),
+    (2.5, 7, 'odd', 'lagrange', -0.35772982394797503, 'ClosedForm', 0.5984721441039565),
+    (2.5, 8, 'full', 'halfangle', -0.1442852499805234, 'ClosedForm', 0.5984721441039565),
+    (2.5, 8, 'full', 'lagrange', -0.1442852499805234, 'ClosedForm', 0.9489846193555862),
+    (2.5, 8, 'even', 'halfangle', -1.3321911996513665, 'ClosedForm', 0.5984721441039565),
+    (2.5, 8, 'even', 'lagrange', -1.3321911996513665, 'ClosedForm', 0.5984721441039565),
+    (2.5, 8, 'odd', 'halfangle', 0.6225128168621331, 'ClosedForm', 0.5984721441039565),
+    (2.5, 8, 'odd', 'lagrange', 0.6225128168621331, 'ClosedForm', 0.5984721441039565),
+    (1e-05, 7, 'full', 'halfangle', 6.999999992999999, 'NaiveFallback', 9.999999999833334e-06),
+    (1e-05, 7, 'full', 'lagrange', 6.999999992999999, 'NaiveFallback', 4.999999999979167e-06),
+    (1e-05, 7, 'even', 'halfangle', 6.9999999719999995, 'NaiveFallback', 9.999999999833334e-06),
+    (1e-05, 7, 'even', 'lagrange', 6.9999999719999995, 'NaiveFallback', 9.999999999833334e-06),
+    (1e-05, 7, 'odd', 'halfangle', 6.99999997725, 'NaiveFallback', 9.999999999833334e-06),
+    (1e-05, 7, 'odd', 'lagrange', 6.99999997725, 'NaiveFallback', 9.999999999833334e-06),
+    (1e-05, 8, 'full', 'halfangle', 7.999999989799999, 'NaiveFallback', 9.999999999833334e-06),
+    (1e-05, 8, 'full', 'lagrange', 7.999999989799999, 'NaiveFallback', 4.999999999979167e-06),
+    (1e-05, 8, 'even', 'halfangle', 7.999999959199999, 'NaiveFallback', 9.999999999833334e-06),
+    (1e-05, 8, 'even', 'lagrange', 7.999999959199999, 'NaiveFallback', 9.999999999833334e-06),
+    (1e-05, 8, 'odd', 'halfangle', 7.999999966, 'NaiveFallback', 9.999999999833334e-06),
+    (1e-05, 8, 'odd', 'lagrange', 7.999999966, 'NaiveFallback', 9.999999999833334e-06),
+]
+COMPARE = [
+    (1.0, 7, [('naive', 0.47825407831383693, 0.0, None), ('lagrange', 0.47825407831383693, 0.0, None), ('halfangle', 0.47825407831383693, 0.0, None)]),
+    (1.0, 8, [('naive', 0.3327540445052234, 0.0, None), ('lagrange', 0.3327540445052233, -1.1102230246251565e-16, None), ('halfangle', 0.3327540445052234, 0.0, None), ('decomposition', 0.3327540445052234, 0.0, None)]),
+    (3.141592653589793, 7, [('naive', -1.0, 0.0, None), ('lagrange', -1.0, 0.0, None), ('halfangle', None, None, '|sin(phi)| = 1.225e-16 is below threshold 1.000e-04')]),
+    (3.141592653589793, 8, [('naive', 0.0, 0.0, None), ('lagrange', 0.0, 0.0, None), ('halfangle', None, None, '|sin(phi)| = 1.225e-16 is below threshold 1.000e-04'), ('decomposition', None, None, '|sin(alpha)| = 1.225e-16 is below threshold 1.000e-04')]),
+    (2.5, 7, [('naive', -0.5523673117939154, 0.0, None), ('lagrange', -0.5523673117939154, 0.0, None), ('halfangle', -0.5523673117939154, 0.0, None)]),
+    (2.5, 8, [('naive', -0.14428524998052344, 0.0, None), ('lagrange', -0.1442852499805234, 5.551115123125783e-17, None), ('halfangle', -0.1442852499805234, 5.551115123125783e-17, None), ('decomposition', -0.1442852499805234, 5.551115123125783e-17, None)]),
+    (0.0, 7, [('naive', 7.0, 0.0, None), ('lagrange', None, None, '|sin(phi/2)| = 0.000e+00 is below threshold 1.000e-04'), ('halfangle', None, None, '|sin(phi)| = 0.000e+00 is below threshold 1.000e-04')]),
+    (0.0, 8, [('naive', 8.0, 0.0, None), ('lagrange', None, None, '|sin(phi/2)| = 0.000e+00 is below threshold 1.000e-04'), ('halfangle', None, None, '|sin(phi)| = 0.000e+00 is below threshold 1.000e-04'), ('decomposition', None, None, '|sin(alpha)| = 0.000e+00 is below threshold 1.000e-04')]),
+]
+
+
+@pytest.mark.parametrize("phi, m, family, form, value, method, proximity", SUM_AUTO)
+def test_sum_auto_pinned(phi, m, family, form, value, method, proximity):
+    result = sum_auto(SumSpec(Angle(phi), m, Family(family)), full_form=form)
+    assert (result.value, result.method.value, result.singular_proximity) == (
+        value, method, proximity
+    )
+
+
+@pytest.mark.parametrize("phi, m, expected", COMPARE)
+def test_compare_methods_pinned(phi, m, expected):
+    got = [
+        (c.method, c.value, c.residual, c.skipped_reason) for c in compare_methods(phi, m)
+    ]
+    assert got == expected
