@@ -203,7 +203,12 @@ def run(argv: list[str] | None = None) -> int:
     except (TrigsumError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_output(payload, args.out)
+    try:
+        _write_output(payload, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -135,33 +135,6 @@ def _direction(line: Line, cos_a: float, sin_a: float) -> tuple[float, float]:
     return cos_a, sin_a
 
 
-def _next_coordinate(
-    s: float, prev2_t: float, cos_a: float, sin_a: float, tol_tangent: float
-) -> tuple[float, bool]:
-    """One construction step, in line coordinates.
-
-    The current point sits at signed coordinate s on the other line; a
-    candidate at coordinate t on the target line is at unit distance exactly
-    when t^2 - 2 t s cos(a) + s^2 - 1 = 0 (both lines pass through the
-    origin with opening angle a). A_{l-2} is itself a root of this quadratic,
-    so preferring the intersection farther from it picks the other root.
-    Returns (t, is_tangent).
-    """
-    proj = s * cos_a
-    perp = s * sin_a  # signed distance from the current point to the target line
-    disc = 1.0 - perp * perp  # squared half-chord
-    if disc >= tol_tangent:
-        half = math.sqrt(disc)
-        lo, hi = proj - half, proj + half
-        return (hi, False) if abs(hi - prev2_t) >= abs(lo - prev2_t) else (lo, False)
-    if abs(perp) <= 1.0 + tol_tangent:
-        return proj, True
-    raise ConstructionImpossible(
-        f"point-to-line distance {abs(perp)!r} exceeds 1 + tol: the unit circle "
-        "misses the target line, which is unreachable for admissible angles"
-    )
-
-
 def line_coordinates(cfg: ConstructionConfig) -> Iterator[tuple[float, bool]]:
     """Signed coordinate of A_0 .. A_n along its own line, with tangency flags.
 
@@ -189,12 +162,35 @@ def line_coordinates(cfg: ConstructionConfig) -> Iterator[tuple[float, bool]]:
 def _walk(
     cos_a: float, sin_a: float, n: int, tol_tangent: float
 ) -> Iterator[tuple[float, bool]]:
+    """The construction steps, in line coordinates.
+
+    At each step the current point sits at signed coordinate s = prev on the
+    other line; a candidate at coordinate t on the target line is at unit
+    distance exactly when t^2 - 2 t s cos(a) + s^2 - 1 = 0 (both lines pass
+    through the origin with opening angle a). A_{l-2} is itself a root of
+    this quadratic, so preferring the intersection farther from it picks the
+    other root. Yields (t, is_tangent).
+    """
     prev2, prev = 0.0, 1.0
     yield prev2, False
     yield prev, False
     for _ in range(2, n + 1):
-        t, tangent = _next_coordinate(prev, prev2, cos_a, sin_a, tol_tangent)
-        yield t, tangent
+        proj = prev * cos_a
+        perp = prev * sin_a  # signed distance from the current point to the target line
+        disc = 1.0 - perp * perp  # squared half-chord
+        if disc >= tol_tangent:
+            half = math.sqrt(disc)
+            lo, hi = proj - half, proj + half
+            t = hi if abs(hi - prev2) >= abs(lo - prev2) else lo
+            yield t, False
+        elif abs(perp) <= 1.0 + tol_tangent:
+            t = proj
+            yield t, True
+        else:
+            raise ConstructionImpossible(
+                f"point-to-line distance {abs(perp)!r} exceeds 1 + tol: the unit circle "
+                "misses the target line, which is unreachable for admissible angles"
+            )
         prev2, prev = prev, t
 
 

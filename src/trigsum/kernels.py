@@ -134,7 +134,13 @@ def compensated_trig_sum(spec: SumSpec) -> float:
 
 
 def _guard(den: float, threshold: float, what: str) -> float:
-    """Return den, or raise when it is below threshold or exactly zero."""
+    """Return den, or raise when it is below threshold or exactly zero.
+
+    A NaN threshold raises ValueError: every comparison with it is false,
+    so it would pass any denominator.
+    """
+    if threshold != threshold:
+        raise ValueError("threshold must not be NaN")
     # den == 0.0 is checked separately so threshold=0.0 still rejects the
     # exact singularity instead of dividing by zero.
     if abs(den) < threshold or den == 0.0:
@@ -278,7 +284,7 @@ def sum_auto(
     inputs: when the relevant denominator magnitude is below threshold the
     literal sum is returned with method=NaiveFallback.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     if full_form not in FULL_FORMS:
         raise ValueError(f"full_form must be 'halfangle' or 'lagrange', got {full_form!r}")

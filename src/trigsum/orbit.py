@@ -71,9 +71,14 @@ def emit(curve: OrbitCurve, fmt: EmitFormat) -> bytes:
     return text.encode("utf-8")
 
 
+#: Extents up to this size would pad to a viewBox size that rounds to zero
+#: (or to rounding noise) at 12 decimals.
+_MIN_EXTENT = 1e-12
+
+
 def _padded(lo: float, hi: float) -> tuple[float, float]:
     # Degenerate extents get a half-unit pad so the viewBox keeps positive size.
-    pad = 0.05 * (hi - lo) if hi > lo else 0.5
+    pad = 0.05 * (hi - lo) if hi - lo > _MIN_EXTENT else 0.5
     return lo - pad, hi + pad
 
 

@@ -144,12 +144,20 @@ def _projection_vs_closed_form(angle: Angle, guard: float, counts: Sequence[int]
 def _decomposition_vs_halfangle(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
     # even + odd at count k against the full whole-angle form at 2k
     rad = angle.radians
-    routes = [kernels.ROUTES[name] for name in ("even", "odd", "halfangle")]
-    d_even, d_odd, d_whole = [route.checked(rad, guard) for route in routes]
-    even, odd, whole = [route.evaluate for route in routes]
-    return [
-        (even(rad, d_even, k) + odd(rad, d_odd, k)) - whole(rad, d_whole, 2 * k) for k in counts
+    d_even, d_odd, d_whole = [
+        kernels.ROUTES[name].checked(rad, guard) for name in ("even", "odd", "halfangle")
     ]
+    sin = math.sin
+    residuals = []
+    for k in counts:
+        s1 = sin((2 * k + 1) * rad)
+        s2 = sin(2 * k * rad)
+        # ROUTES' even, odd and halfangle (m = 2k) bodies in their operation
+        # order; (m + 1)*rad at m = 2k is the even body's (2k + 1)*rad
+        residuals.append(
+            (0.5 * (s1 / d_even - 1.0) + 0.5 * s2 / d_odd) - 0.5 * ((s1 + s2) / d_whole - 1.0)
+        )
+    return residuals
 
 
 _PAIR_RULES: dict[ResidualPair, _Rule] = {
@@ -171,7 +179,9 @@ def residual_sweep(
     The pair is evaluated per angle, not per grid point: its denominators
     and their guard once, one ordered naive pass up to max(counts) for the
     oracle pairs, and one construction walk up to n = 2 max(counts) + 2 for
-    the projection pair. Memory per angle is O(len(counts)).
+    the projection pair. DecompositionVsHalfangle costs two sines per count,
+    sin((2k+1) a) and sin(2k a), shared by its three closed forms. Memory
+    per angle is O(len(counts)).
 
     Rows are kept in canonical order (angle-major, count-minor) when
     keep_rows is true, or by default when the grid has at most

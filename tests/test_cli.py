@@ -161,6 +161,41 @@ def test_usage_errors():
     assert run(["sum", "--phi", "zzz", "--m", "3"]) == 2
 
 
+@pytest.mark.parametrize("method", ["auto", "lagrange", "halfangle"])
+@pytest.mark.parametrize("phi", ["0", "1e-9", "1.0"])
+def test_nan_threshold_exits_with_error(capsys, monkeypatch, method, phi):
+    argv = ["sum", "--phi", phi, "--m", "5", "--method", method]
+    assert run(argv + ["--threshold", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    monkeypatch.setenv(THRESHOLD_ENV, "nan")
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_out_into_missing_directory_exits_with_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert run(["sum", "--phi", "1", "--m", "3", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert str(target) in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_onto_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    # the temp file is written, then the rename onto the directory fails
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert run(["sum", "--phi", "1", "--m", "3", "--out", str(target)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(target) == []
+
+
 def test_orbit_formats_to_files(tmp_path):
     from trigsum import EmitFormat, emit, orbit_samples
 

@@ -204,6 +204,28 @@ def test_sum_auto_even_odd_families():
     assert near.value == pytest.approx(naive_trig_sum(spec(PI + 1e-9, 5, Family.EVEN)))
 
 
+def test_nan_threshold_is_rejected():
+    nan = float("nan")
+    # NaN compares false with every denominator, so it used to pass even an
+    # exact zero on to the division
+    with pytest.raises(ValueError, match="nan"):
+        sum_auto(spec(0.0, 5), threshold=nan)
+    for fn in (lagrange_sum, halfangle_free_sum, even_index_sum, odd_index_sum):
+        for angle in (0.0, 1e-9, 1.0):
+            with pytest.raises(ValueError, match="NaN"):
+                fn(angle, 5, threshold=nan)
+    with pytest.raises(ValueError, match="NaN"):
+        x_coordinate_identity(1.0, 2, threshold=nan)
+
+
+def test_zero_threshold_keeps_its_meaning_for_the_kernels():
+    for fn in (lagrange_sum, halfangle_free_sum, even_index_sum, odd_index_sum):
+        assert fn(1.0, 5, threshold=0.0) == fn(1.0, 5)
+        assert math.isfinite(fn(1e-9, 5, threshold=0.0))
+        with pytest.raises(SingularDenominator):
+            fn(0.0, 5, threshold=0.0)
+
+
 def test_sum_auto_validation():
     with pytest.raises(ValueError):
         sum_auto(spec(1.0, 3), threshold=0.0)

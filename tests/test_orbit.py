@@ -136,6 +136,27 @@ def test_svg_viewbox_pads_extents():
     assert h == pytest.approx(2.2, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "n, alpha_min, alpha_max, steps",
+    [
+        # every y is sin(a) U_2(cos a) at a = 0, 2pi/3, 4pi/3, 2pi: zero up to
+        # rounding, so the y samples span about 1e-15
+        (3, 0.0, TWO_PI, 4),
+        # a one-ulp range: both coordinates span at most rounding noise
+        (2, 1.0, math.nextafter(1.0, 2.0), 2),
+    ],
+)
+def test_svg_viewbox_of_rounding_noise_extents_has_positive_size(n, alpha_min, alpha_max, steps):
+    curve = orbit_samples(n, alpha_min, alpha_max, steps)
+    ys = [y for _, _, y in curve.samples]
+    assert 0.0 < max(ys) - min(ys) < 1e-12
+    text = emit(curve, EmitFormat.SVG).decode("utf-8")
+    viewbox = re.search(r'viewBox="([^"]*)"', text).group(1)
+    _, _, width, height = (float(v) for v in viewbox.split())
+    assert width > 0.0
+    assert height > 0.0
+
+
 def test_emission_is_deterministic():
     for fmt in EmitFormat:
         a = emit(orbit_samples(4, 0.0, TWO_PI, 257), fmt)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -311,13 +312,24 @@ IDENTITY_GRIDS = {
     "guard-zero-0-to-pi": GridSpec(0.0, math.pi, 9, (3, 1, 4), guard=0.0),
     "negative-multi-turn": GridSpec(-20.0, 13.7, 151, (1, 2, 9, 40, 2)),
     "negative-multi-turn-guard-zero": GridSpec(-3 * math.pi, 3 * math.pi, 25, (5, 1), guard=0.0),
+    # the closed-form pairs at large k; the naive and construction references
+    # would take O(k) per grid point
+    "negative-multi-turn-large-k": GridSpec(-40.0, -3.3, 151, (1, 2, 512, 4096, 10**6)),
+}
+
+#: Grids checked on a subset of the pairs; every other grid runs them all.
+IDENTITY_PAIRS = {
+    "negative-multi-turn-large-k": (
+        ResidualPair.LAGRANGE_VS_HALFANGLE,
+        ResidualPair.DECOMPOSITION_VS_HALFANGLE,
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(IDENTITY_GRIDS))
 def test_sweep_is_byte_identical_to_per_point_reference(name):
     grid = IDENTITY_GRIDS[name]
-    for pair in ResidualPair:
+    for pair in IDENTITY_PAIRS.get(name, ResidualPair):
         report = residual_sweep(grid, pair)
         expected = reference_sweep(grid, pair)
         assert report.to_json() == expected.to_json(), pair
@@ -332,3 +344,24 @@ def test_projection_sweep_with_tangency_snaps_is_byte_identical():
     assert report.max_abs_residual > 1e-6
     assert report.to_json() == expected.to_json()
     assert report.to_csv() == expected.to_csv()
+
+
+def test_decomposition_sweep_makes_two_sines_per_count():
+    # counted as C calls of math.sin, however the sweep binds it
+    grid = GridSpec(0.05, 3.0, 40, (1, 7, 7, 300, 2))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and arg is math.sin:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        report = residual_sweep(grid, ResidualPair.DECOMPOSITION_VS_HALFANGLE)
+    finally:
+        sys.setprofile(previous)
+    assert report.skipped == 0
+    # three guarded denominators per angle, then sin((2k+1)a) and sin(2ka)
+    assert 0 < calls <= (2 * len(grid.counts) + 3) * grid.steps
