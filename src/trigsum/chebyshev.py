@@ -47,9 +47,10 @@ def chebyshev_u(degree: int, x: FloatOrArray, *, max_degree: int = MAX_DEGREE) -
     x, u_prev = _start(x)
     if degree == 0:
         return u_prev
-    u = 2.0 * x
+    two_x = 2.0 * x  # 2.0 * x * u parses as (2.0 * x) * u: hoisting keeps the bits
+    u = two_x
     for _ in range(degree - 1):
-        u_prev, u = u, 2.0 * x * u - u_prev
+        u_prev, u = u, two_x * u - u_prev
     return u
 
 
@@ -64,9 +65,10 @@ def u_sequence(max_deg: int, x: FloatOrArray, *, max_degree: int = MAX_DEGREE) -
     values: list = [one]
     if max_deg == 0:
         return values
-    values.append(2.0 * x)
+    two_x = 2.0 * x
+    values.append(two_x)
     for _ in range(max_deg - 1):
-        values.append(2.0 * x * values[-1] - values[-2])
+        values.append(two_x * values[-1] - values[-2])
     return values
 
 

@@ -11,62 +11,90 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
-from .angle import Angle
-from .bench import measure
 from .errors import TrigsumError
 from .formatting import json_line
-from .geometry import ConstructionConfig, Line, construct_points
-from .kernels import (
-    DEFAULT_FULL_FORM,
-    DEFAULT_THRESHOLD,
-    FULL_FORMS,
-    NAIVE,
-    ROUTES,
-    SumSpec,
-    halfangle_free_sum,
-    lagrange_sum,
-    naive_trig_sum,
-    sum_auto,
-)
-from .orbit import TWO_PI, EmitFormat, emit, orbit_samples
-from .verify import GridSpec, ResidualPair, residual_sweep
 
 #: Environment override for the fallback threshold of `sum` (decimal string).
 THRESHOLD_ENV = "TRIGSUM_THRESHOLD"
 
+#: The library names the handlers call, by defining module. A handler binds
+#: its modules' names here on its first call (`_load`), so a process imports
+#: only what its subcommand runs; reading one as an attribute of this module
+#: binds it too. A name already bound, such as a wrapper patched onto this
+#: module, is kept, and the handlers call whatever is bound at call time.
+_LIBRARY = {
+    "angle": ("Angle",),
+    "bench": ("measure",),
+    "geometry": ("ConstructionConfig", "Line", "construct_points"),
+    "kernels": ("DEFAULT_FULL_FORM", "NAIVE", "ROUTES", "SumSpec", "halfangle_free_sum",
+                "lagrange_sum", "naive_trig_sum", "sum_auto"),
+    "orbit": ("EmitFormat", "emit", "orbit_samples"),
+    "verify": ("GridSpec", "ResidualPair", "residual_sweep"),
+}
 
-def _add_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="trigsum",
-        description="Closed-form cosine sums, their brute-force cross-checks, "
-        "and the two-line unit-segment construction behind them.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _load(*modules: str) -> None:
+    namespace = globals()
+    for module in modules:
+        # __import__, unlike importlib.import_module, shows in `python -X importtime`
+        source = getattr(__import__(f"{__package__}.{module}"), module)
+        for name in _LIBRARY[module]:
+            namespace.setdefault(name, getattr(source, name))
 
-    p = sub.add_parser("construct", help="simulate the two-line point construction")
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_HOME[name])
+    return globals()[name]
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when it is invoked.
+
+    `trigsum --help` lists only subcommand names and help strings, so a
+    process builds, and imports the constants of, only the arguments of the
+    subcommand it runs.
+    """
+
+    def __init__(self, *args, add_arguments, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            self._add_arguments(self)
+            self.add_argument("--out", metavar="PATH",
+                              help="write output to PATH instead of stdout")
+            self._add_arguments = None
+        return super().parse_known_args(args, namespace)
+
+
+def _construct_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, required=True, help="opening angle in radians")
     p.add_argument("--n", type=int, required=True, help="number of points beyond the origin")
     p.add_argument("--start-line", choices=["x", "e"], default="x",
                    help="line carrying the first unit point (default: x)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_out(p)
 
-    p = sub.add_parser("sum", help="evaluate a full-family cosine partial sum")
+
+def _sum_arguments(p: argparse.ArgumentParser) -> None:
+    from .kernels import DEFAULT_THRESHOLD, FULL_FORMS, NAIVE
+
     p.add_argument("--phi", type=float, required=True, help="angle in radians")
     p.add_argument("--m", type=int, required=True, help="number of terms")
     p.add_argument("--method", choices=[*FULL_FORMS, "auto", NAIVE], default="auto")
     p.add_argument("--threshold", type=float, default=None,
                    help=f"singularity threshold (default {DEFAULT_THRESHOLD:g}, "
                         f"or ${THRESHOLD_ENV})")
-    _add_out(p)
 
-    p = sub.add_parser("verify", help="sweep a residual pair over an angle grid")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .verify import ResidualPair
+
     p.add_argument("--pair", choices=[pair.value for pair in ResidualPair], required=True)
     p.add_argument("--angle-min", type=float, required=True)
     p.add_argument("--angle-max", type=float, required=True)
@@ -76,21 +104,32 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="minimum denominator magnitude (default 0.01)")
     p.add_argument("--rows", action="store_true",
                    help="emit per-point CSV rows instead of the JSON summary")
-    _add_out(p)
 
-    p = sub.add_parser("orbit", help="sample the orbit curve of a construction point")
+
+def _orbit_arguments(p: argparse.ArgumentParser) -> None:
+    from .orbit import TWO_PI
+
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha-min", type=float, default=0.0)
     p.add_argument("--alpha-max", type=float, default=TWO_PI)
     p.add_argument("--steps", type=int, default=1024)
     p.add_argument("--format", choices=["csv", "json", "svg"], required=True)
-    _add_out(p)
 
-    p = sub.add_parser("bench", help="time the naive sum against the closed form")
+
+def _bench_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--repeats", type=int, required=True)
-    _add_out(p)
 
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="trigsum",
+        description="Closed-form cosine sums, their brute-force cross-checks, "
+        "and the two-line unit-segment construction behind them.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
     return parser
 
 
@@ -109,6 +148,8 @@ def _resolve_threshold(parser: argparse.ArgumentParser, flag_value: float | None
         return flag_value
     raw = os.environ.get(THRESHOLD_ENV)
     if raw is None:
+        from .kernels import DEFAULT_THRESHOLD
+
         return DEFAULT_THRESHOLD
     try:
         return float(raw)
@@ -117,6 +158,7 @@ def _resolve_threshold(parser: argparse.ArgumentParser, flag_value: float | None
 
 
 def _run_construct(args: argparse.Namespace) -> str:
+    _load("angle", "geometry")
     cfg = ConstructionConfig(alpha=Angle(args.alpha), n=args.n, start_line=Line(args.start_line))
     seq = construct_points(cfg)
     if args.format == "csv":
@@ -130,6 +172,7 @@ def _run_construct(args: argparse.Namespace) -> str:
 
 
 def _run_sum(args: argparse.Namespace) -> str:
+    _load("angle", "kernels")
     threshold = args.effective_threshold
     if args.method == "auto":
         result = sum_auto(SumSpec(Angle(args.phi), args.m), threshold=threshold)
@@ -146,26 +189,31 @@ def _run_sum(args: argparse.Namespace) -> str:
 
 
 def _run_verify(args: argparse.Namespace) -> str:
+    _load("verify")
     grid = GridSpec(args.angle_min, args.angle_max, args.steps, args.counts_list, args.guard)
     report = residual_sweep(grid, ResidualPair(args.pair), keep_rows=args.rows)
     return report.to_csv() if args.rows else report.to_json()
 
 
 def _run_orbit(args: argparse.Namespace) -> bytes:
+    _load("orbit")
     curve = orbit_samples(args.n, args.alpha_min, args.alpha_max, args.steps)
     return emit(curve, EmitFormat(args.format))
 
 
 def _run_bench(args: argparse.Namespace) -> str:
+    _load("bench")
     return measure(args.m, args.repeats).to_json()
 
 
-_HANDLERS = {
-    "construct": _run_construct,
-    "sum": _run_sum,
-    "verify": _run_verify,
-    "orbit": _run_orbit,
-    "bench": _run_bench,
+#: Each subcommand's help line, the function adding its arguments, and its handler.
+_SUBCOMMANDS = {
+    "construct": ("simulate the two-line point construction", _construct_arguments,
+                  _run_construct),
+    "sum": ("evaluate a full-family cosine partial sum", _sum_arguments, _run_sum),
+    "verify": ("sweep a residual pair over an angle grid", _verify_arguments, _run_verify),
+    "orbit": ("sample the orbit curve of a construction point", _orbit_arguments, _run_orbit),
+    "bench": ("time the naive sum against the closed form", _bench_arguments, _run_bench),
 }
 
 
@@ -175,6 +223,8 @@ def _write_output(payload: str | bytes, out_path: str | None) -> None:
         sys.stdout.write(data.decode("utf-8"))
         sys.stdout.flush()
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trigsum-tmp-")
     try:
@@ -199,7 +249,7 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     try:
-        payload = _HANDLERS[args.command](args)
+        payload = _SUBCOMMANDS[args.command][2](args)
     except (TrigsumError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

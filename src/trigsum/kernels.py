@@ -280,9 +280,12 @@ def sum_auto(
     """Evaluate a sum by closed form, or by the oracle near its singularity.
 
     full_form selects the closed form for the full family ("halfangle" or
-    "lagrange"); the even/odd families have one form each. Total over finite
-    inputs: when the relevant denominator magnitude is below threshold the
-    literal sum is returned with method=NaiveFallback.
+    "lagrange"); the even/odd families have one form each. When the relevant
+    denominator magnitude is below threshold the literal sum is returned with
+    method=NaiveFallback. Defined for every finite angle whose largest scaled
+    argument, about count * |phi| (2k * |alpha| for the even/odd families),
+    is finite too; beyond that the sine or cosine raises ValueError
+    ("math domain error").
     """
     if not threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")

@@ -266,3 +266,156 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == halfangle_free_sum(1.0, 10)
+
+
+# The parser's bytes, as argparse lays them out at 80 columns. Each
+# subcommand's parser gets its arguments only when it is invoked; these pin
+# every help text and usage error it prints.
+TOP_USAGE = "usage: trigsum [-h] {construct,sum,verify,orbit,bench} ...\n"
+
+TOP_HELP = TOP_USAGE + """
+Closed-form cosine sums, their brute-force cross-checks, and the two-line
+unit-segment construction behind them.
+
+positional arguments:
+  {construct,sum,verify,orbit,bench}
+    construct           simulate the two-line point construction
+    sum                 evaluate a full-family cosine partial sum
+    verify              sweep a residual pair over an angle grid
+    orbit               sample the orbit curve of a construction point
+    bench               time the naive sum against the closed form
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+CONSTRUCT_HELP = """\
+usage: trigsum construct [-h] --alpha ALPHA --n N [--start-line {x,e}]
+                         [--format {csv,json}] [--out PATH]
+
+options:
+  -h, --help           show this help message and exit
+  --alpha ALPHA        opening angle in radians
+  --n N                number of points beyond the origin
+  --start-line {x,e}   line carrying the first unit point (default: x)
+  --format {csv,json}
+  --out PATH           write output to PATH instead of stdout
+"""
+
+SUM_USAGE = """\
+usage: trigsum sum [-h] --phi PHI --m M
+                   [--method {lagrange,halfangle,auto,naive}]
+                   [--threshold THRESHOLD] [--out PATH]
+"""
+
+SUM_HELP = SUM_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --phi PHI             angle in radians
+  --m M                 number of terms
+  --method {lagrange,halfangle,auto,naive}
+  --threshold THRESHOLD
+                        singularity threshold (default 0.0001, or
+                        $TRIGSUM_THRESHOLD)
+  --out PATH            write output to PATH instead of stdout
+"""
+
+PAIRS = ("LagrangeVsNaive,HalfangleVsNaive,LagrangeVsHalfangle,EvenVsNaive,OddVsNaive,"
+         "ProjectionVsClosedForm,DecompositionVsHalfangle")
+
+VERIFY_USAGE = f"""\
+usage: trigsum verify [-h] --pair
+                      {{{PAIRS}}}
+                      --angle-min ANGLE_MIN --angle-max ANGLE_MAX --steps
+                      STEPS --counts COUNTS [--guard GUARD] [--rows]
+                      [--out PATH]
+"""
+
+VERIFY_HELP = VERIFY_USAGE + f"""
+options:
+  -h, --help            show this help message and exit
+  --pair {{{PAIRS}}}
+  --angle-min ANGLE_MIN
+  --angle-max ANGLE_MAX
+  --steps STEPS
+  --counts COUNTS       comma-separated term counts
+  --guard GUARD         minimum denominator magnitude (default 0.01)
+  --rows                emit per-point CSV rows instead of the JSON summary
+  --out PATH            write output to PATH instead of stdout
+"""
+
+ORBIT_HELP = """\
+usage: trigsum orbit [-h] --n N [--alpha-min ALPHA_MIN]
+                     [--alpha-max ALPHA_MAX] [--steps STEPS] --format
+                     {csv,json,svg} [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --alpha-min ALPHA_MIN
+  --alpha-max ALPHA_MAX
+  --steps STEPS
+  --format {csv,json,svg}
+  --out PATH            write output to PATH instead of stdout
+"""
+
+BENCH_HELP = """\
+usage: trigsum bench [-h] --m M --repeats REPEATS [--out PATH]
+
+options:
+  -h, --help         show this help message and exit
+  --m M
+  --repeats REPEATS
+  --out PATH         write output to PATH instead of stdout
+"""
+
+VERIFY_ARGS = ["--angle-min", "0.5", "--angle-max", "1.5", "--steps", "4"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--help"], TOP_HELP),
+    (["-h", "sum"], TOP_HELP),
+    (["construct", "--help"], CONSTRUCT_HELP),
+    (["sum", "--help"], SUM_HELP),
+    (["verify", "--help"], VERIFY_HELP),
+    (["orbit", "--help"], ORBIT_HELP),
+    (["bench", "-h"], BENCH_HELP),
+], ids=" ".join)
+def test_help_bytes(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([], TOP_USAGE + "trigsum: error: the following arguments are required: command\n"),
+    (["frobnicate"], TOP_USAGE + "trigsum: error: argument command: invalid choice: "
+     "'frobnicate' (choose from 'construct', 'sum', 'verify', 'orbit', 'bench')\n"),
+    (["sum", "--m", "3"],
+     SUM_USAGE + "trigsum sum: error: the following arguments are required: --phi\n"),
+    (["sum", "--phi", "1", "--m", "3", "--method", "bogus"],
+     SUM_USAGE + "trigsum sum: error: argument --method: invalid choice: 'bogus' "
+     "(choose from 'lagrange', 'halfangle', 'auto', 'naive')\n"),
+    (["verify", "--pair", "NoSuchPair", *VERIFY_ARGS, "--counts", "2"],
+     VERIFY_USAGE + "trigsum verify: error: argument --pair: invalid choice: 'NoSuchPair' "
+     "(choose from " + ", ".join(f"'{p}'" for p in PAIRS.split(",")) + ")\n"),
+    (["verify", "--pair", "EvenVsNaive", *VERIFY_ARGS, "--counts", "2,x"],
+     TOP_USAGE + "trigsum: error: --counts expects comma-separated integers, got '2,x'\n"),
+], ids=" ".join)
+def test_usage_error_bytes(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == expected
+
+
+@pytest.mark.parametrize("method", ["auto", "lagrange", "halfangle", "naive"])
+def test_sum_overflowing_argument_exits_with_error(capsys, method):
+    # 5 * 1e308 overflows to inf before the sine: outside the domain of sum
+    assert run(["sum", "--phi", "1e308", "--m", "5", "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: math domain error\n"

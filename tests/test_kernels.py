@@ -258,3 +258,12 @@ def test_compensated_tracks_naive(phi, m):
     plain = naive_trig_sum(spec(phi, m))
     exact = compensated_trig_sum(spec(phi, m))
     assert abs(plain - exact) <= 1e-13 * m
+
+
+@pytest.mark.parametrize("full_form", ["halfangle", "lagrange"])
+def test_sum_auto_domain_ends_where_the_scaled_argument_overflows(full_form):
+    # the largest multiple of phi, about count * phi, must be finite
+    for family in Family:
+        with pytest.raises(ValueError, match="math domain error"):
+            sum_auto(SumSpec(Angle(1e308), 5, family), full_form=full_form)
+    assert math.isfinite(sum_auto(SumSpec(Angle(1e307), 5), full_form=full_form).value)
