@@ -12,11 +12,10 @@ the closed-form coordinate functions evaluate directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .angle import Angle, as_angle
+from .angle import Angle, Record, as_angle
 from .chebyshev import chebyshev_u
 from .errors import (
     ConstructionImpossible,
@@ -45,29 +44,30 @@ class Line(Enum):
     E = "e"
 
 
-@dataclass(frozen=True)
-class Point2:
+class Point2(Record):
     """A plane point with finite coordinates."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"coordinates must be finite, got ({x!r}, {y!r})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class PlacedPoint:
+class PlacedPoint(Record):
     """One construction point together with the line it lies on."""
 
-    index: int
-    line: Line
-    point: Point2
+    __slots__ = ("index", "line", "point")
+
+    def __init__(self, index: int, line: Line, point: Point2) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "point", point)
 
 
-@dataclass(frozen=True)
-class ConstructionConfig:
+class ConstructionConfig(Record):
     """Inputs of a construction run.
 
     n is the number of points beyond A_0. epsilon_exclude rejects degenerate
@@ -75,34 +75,33 @@ class ConstructionConfig:
     tangent to the target line.
     """
 
-    alpha: Angle
-    n: int
-    start_line: Line = Line.X
-    epsilon_exclude: float = EPSILON_EXCLUDE
-    tol_tangent: float = TOL_TANGENT
+    __slots__ = ("alpha", "n", "start_line", "epsilon_exclude", "tol_tangent")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_angle(self.alpha))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not self.epsilon_exclude > 0.0:
+    def __init__(self, alpha: Angle, n: int, start_line: Line = Line.X,
+                 epsilon_exclude: float = EPSILON_EXCLUDE,
+                 tol_tangent: float = TOL_TANGENT) -> None:
+        alpha = as_angle(alpha)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if not epsilon_exclude > 0.0:
             raise ValueError("epsilon_exclude must be > 0")
-        if not self.tol_tangent > 0.0:
+        if not tol_tangent > 0.0:
             raise ValueError("tol_tangent must be > 0")
+        self._set(alpha, n, start_line, epsilon_exclude, tol_tangent)
 
 
-@dataclass(frozen=True)
-class PointSeq:
+class PointSeq(Record):
     """An ordered construction run A_0 .. A_n.
 
     tangency_events lists the step indices where the step circle was tangent
     to the target line, forcing A_l = A_{l-2} despite the exclusion rule.
     """
 
-    alpha: Angle
-    start_line: Line
-    points: tuple[PlacedPoint, ...]
-    tangency_events: tuple[int, ...]
+    __slots__ = ("alpha", "start_line", "points", "tangency_events")
+
+    def __init__(self, alpha: Angle, start_line: Line, points: tuple[PlacedPoint, ...],
+                 tangency_events: tuple[int, ...]) -> None:
+        self._set(alpha, start_line, points, tangency_events)
 
     @property
     def segment_count(self) -> int:
@@ -247,8 +246,9 @@ def chebyshev_form_point(alpha: Angle | float, n: int) -> Point2:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rad = as_angle(alpha).radians
-    u = chebyshev_u(n - 1, math.cos(rad))
-    return Point2(math.cos(rad) * u, math.sin(rad) * u)
+    cos_a = math.cos(rad)
+    u = chebyshev_u(n - 1, cos_a)
+    return Point2(cos_a * u, math.sin(rad) * u)
 
 
 def projection_sum(seq: PointSeq, target: Line, count: int) -> float:

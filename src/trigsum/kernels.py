@@ -17,11 +17,10 @@ kernels, sum_auto, the sweeps and the CLI all take it from there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .angle import Angle, as_angle
+from .angle import Angle, Record, as_angle
 from .errors import SingularDenominator
 
 #: Fallback/guard threshold on the denominator magnitude. At 1e-4 a closed
@@ -38,18 +37,17 @@ class Family(Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(Record):
     """A requested cosine sum: family, term count, and the angle argument."""
 
-    angle: Angle
-    count: int
-    family: Family = Family.FULL
+    __slots__ = ("angle", "count", "family")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", as_angle(self.angle))
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+    def __init__(self, angle: Angle, count: int, family: Family = Family.FULL) -> None:
+        object.__setattr__(self, "angle", as_angle(angle))
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "family", family)
 
 
 class Method(Enum):
@@ -57,8 +55,7 @@ class Method(Enum):
     NAIVE_FALLBACK = "NaiveFallback"
 
 
-@dataclass(frozen=True)
-class SumValue:
+class SumValue(Record):
     """An evaluated sum with method provenance.
 
     singular_proximity is the magnitude of the denominator the closed form
@@ -66,9 +63,12 @@ class SumValue:
     policy threshold at dispatch time.
     """
 
-    value: float
-    method: Method
-    singular_proximity: float
+    __slots__ = ("value", "method", "singular_proximity")
+
+    def __init__(self, value: float, method: Method, singular_proximity: float) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "singular_proximity", singular_proximity)
 
 
 def _multiples(family: Family, done: int, count: int) -> range:
@@ -150,8 +150,7 @@ def _guard(den: float, threshold: float, what: str) -> float:
     return den
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(Record):
     """One closed form: the sum it evaluates and the sine it divides by.
 
     family is None for the terminal abscissa, which is no family sum; label
@@ -159,11 +158,12 @@ class Route:
     (radians, checked denominator, count) to the value.
     """
 
-    name: str
-    family: Family | None
-    label: str
-    denominator: Callable[[float], float]
-    evaluate: Callable[[float, float, int], float]
+    __slots__ = ("name", "family", "label", "denominator", "evaluate")
+
+    def __init__(self, name: str, family: Family | None, label: str,
+                 denominator: Callable[[float], float],
+                 evaluate: Callable[[float, float, int], float]) -> None:
+        self._set(name, family, label, denominator, evaluate)
 
     def checked(self, rad: float, threshold: float) -> float:
         """The denominator at rad; raises below threshold or at exactly zero."""

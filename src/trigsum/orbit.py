@@ -10,10 +10,9 @@ cotangent form would blow up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .angle import inclusive_grid
+from .angle import Record, inclusive_grid
 from .formatting import csv_text, fmt12, json_line
 from .geometry import chebyshev_form_point
 
@@ -26,15 +25,14 @@ class EmitFormat(Enum):
     SVG = "svg"
 
 
-@dataclass(frozen=True)
-class OrbitCurve:
+class OrbitCurve(Record):
     """Uniform samples (alpha, x, y) of the orbit of A_n."""
 
-    n: int
-    alpha_min: float
-    alpha_max: float
-    steps: int
-    samples: tuple[tuple[float, float, float], ...]
+    __slots__ = ("n", "alpha_min", "alpha_max", "steps", "samples")
+
+    def __init__(self, n: int, alpha_min: float, alpha_max: float, steps: int,
+                 samples: tuple[tuple[float, float, float], ...]) -> None:
+        self._set(n, alpha_min, alpha_max, steps, samples)
 
 
 def orbit_samples(

@@ -17,7 +17,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Sequence
 
-from . import geometry, kernels
+from . import kernels
 from .angle import Angle, as_angle, inclusive_grid
 from .errors import EmptyGrid, SingularDenominator, TrigsumError
 from .formatting import csv_text, json_line
@@ -128,6 +128,8 @@ def _route_pair(first: str, second: str) -> _Rule:
 
 
 def _projection_vs_closed_form(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
+    from . import geometry  # the one pair that walks the construction
+
     # The x-projections of the first 2k+2 segments telescope to the terminal
     # abscissa, whose closed form is the identity's right-hand side. One
     # construction walk, to the largest n, serves every count.

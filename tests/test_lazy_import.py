@@ -20,10 +20,18 @@ from trigsum import cli
 LOADED = {
     "construct": {"angle", "chebyshev", "errors", "formatting", "geometry"},
     "sum": {"angle", "errors", "formatting", "kernels"},
-    "verify": {"angle", "chebyshev", "errors", "formatting", "geometry", "kernels", "verify"},
+    "verify": {"angle", "errors", "formatting", "kernels", "verify"},
     "orbit": {"angle", "chebyshev", "errors", "formatting", "geometry", "orbit"},
     "bench": {"angle", "bench", "errors", "formatting", "kernels"},
 }
+
+#: The one verify pair that walks the construction, and what it loads.
+PROJECTION = "ProjectionVsClosedForm"
+LOADED[PROJECTION] = LOADED["verify"] | {"chebyshev", "geometry"}
+
+#: dataclasses and the largest module it pulls in; the value types of the
+#: sum, construct and orbit paths do without them.
+DATACLASSES = {"dataclasses", "inspect"}
 
 VERIFY = ["verify", "--pair", "LagrangeVsHalfangle", "--angle-min", "0.05",
           "--angle-max", "6.2", "--steps", "20", "--counts", "1,8,64"]
@@ -35,8 +43,16 @@ ARGVS = [
       for method in ("auto", "lagrange", "halfangle", "naive")),
     VERIFY,
     VERIFY + ["--rows"],
+    ["verify", "--pair", PROJECTION, "--angle-min", "0.05", "--angle-max", "1.5",
+     "--steps", "20", "--counts", "1,8,64"],
     *(["orbit", "--n", "3", "--steps", "33", "--format", fmt] for fmt in ("csv", "json", "svg")),
 ]
+
+
+def imported(stderr: str) -> set[str]:
+    """Every module `python -X importtime` reports on stderr."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
 
 
 def fresh(args: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
@@ -44,9 +60,8 @@ def fresh(args: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
     submodules it imported."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           capture_output=True, text=True, timeout=120)
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    return proc, {name[len("trigsum."):] for name in imported if name.startswith("trigsum.")}
+    names = imported(proc.stderr)
+    return proc, {name[len("trigsum."):] for name in names if name.startswith("trigsum.")}
 
 
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
@@ -55,7 +70,15 @@ def test_subcommand_in_a_fresh_process(capsys, argv):
     code = cli.run(argv)
     assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
     assert code == 0
-    assert loaded == LOADED[argv[0]]
+    assert loaded == LOADED[PROJECTION if PROJECTION in argv else argv[0]]
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in ARGVS if argv[0] in ("sum", "construct", "orbit")], ids=" ".join)
+def test_value_types_load_no_dataclasses(argv):
+    proc, _ = fresh(["-m", "trigsum.cli", *argv])
+    assert proc.returncode == 0
+    assert not imported(proc.stderr) & DATACLASSES
 
 
 def test_bench_in_a_fresh_process(capsys):
