@@ -29,8 +29,8 @@ _EXPORTS = {
                 "halfangle_free_sum", "even_index_sum", "odd_index_sum",
                 "x_coordinate_identity", "sum_auto"),
     "orbit": ("EmitFormat", "OrbitCurve", "orbit_samples", "emit"),
-    "verify": ("ROW_RETENTION_LIMIT", "GridSpec", "ResidualPair", "ResidualReport",
-               "MethodComparison", "residual_sweep", "compare_methods"),
+    "verify": ("GridSpec", "ResidualPair", "ResidualReport", "MethodComparison",
+               "residual_sweep", "compare_methods"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -38,8 +38,8 @@ def _ns_per_eval(fn, repeats: int) -> float:
     return (time.perf_counter_ns() - start) / measured
 
 
-def measure(m: int, repeats: int, *, phi: float = BENCH_PHI) -> BenchResult:
-    """Time the term-by-term sum against the closed form at the same (phi, m).
+def measure(m: int, repeats: int) -> BenchResult:
+    """Time the term-by-term sum against the closed form at (BENCH_PHI, m).
 
     Each route runs `repeats` times; the mean wall time per evaluation over
     the post-warmup repeats is reported in nanoseconds.
@@ -48,7 +48,7 @@ def measure(m: int, repeats: int, *, phi: float = BENCH_PHI) -> BenchResult:
         raise ValueError(f"m must be >= 1, got {m}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    spec = SumSpec(Angle(phi), m, Family.FULL)
+    spec = SumSpec(Angle(BENCH_PHI), m, Family.FULL)
     naive_ns = _ns_per_eval(lambda: naive_trig_sum(spec), repeats)
-    closed_ns = _ns_per_eval(lambda: halfangle_free_sum(phi, m), repeats)
+    closed_ns = _ns_per_eval(lambda: halfangle_free_sum(BENCH_PHI, m), repeats)
     return BenchResult(naive_ns, closed_ns)

@@ -37,13 +37,13 @@ def _start(x: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
     return float(x), 1.0
 
 
-def chebyshev_u(degree: int, x: FloatOrArray, *, max_degree: int = MAX_DEGREE) -> FloatOrArray:
+def chebyshev_u(degree: int, x: FloatOrArray) -> FloatOrArray:
     """Evaluate U_degree(x) by the three-term recurrence.
 
     U_0 = 1, U_1 = 2x, U_{j+1} = 2x U_j - U_{j-1}. Defined for all real x;
     accepts a scalar or an ndarray, and the return type matches the input.
     """
-    _check_degree(degree, max_degree)
+    _check_degree(degree)
     x, u_prev = _start(x)
     if degree == 0:
         return u_prev
@@ -54,13 +54,13 @@ def chebyshev_u(degree: int, x: FloatOrArray, *, max_degree: int = MAX_DEGREE) -
     return u
 
 
-def u_sequence(max_deg: int, x: FloatOrArray, *, max_degree: int = MAX_DEGREE) -> list:
+def u_sequence(max_deg: int, x: FloatOrArray) -> list:
     """Return [U_0(x), ..., U_max_deg(x)] from a single recurrence pass.
 
     Sweeps that need every degree up to a bound should use this instead of
     calling chebyshev_u per degree, which would repeat the whole recurrence.
     """
-    _check_degree(max_deg, max_degree)
+    _check_degree(max_deg)
     x, one = _start(x)
     values: list = [one]
     if max_deg == 0:
@@ -88,8 +88,8 @@ def sin_ratio(n: int, alpha: Angle | float) -> float:
     return math.sin(n * rad) / s
 
 
-def _check_degree(degree: int, max_degree: int) -> None:
+def _check_degree(degree: int) -> None:
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if degree > max_degree:
-        raise DegreeTooLarge(f"degree {degree} exceeds the configured maximum {max_degree}")
+    if degree > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {degree} exceeds the configured maximum {MAX_DEGREE}")

@@ -2,8 +2,9 @@
 and benchmarking.
 
 Exit codes: 0 on success, 1 for domain errors (excluded angles, singular
-denominators, bad ranges), 2 for usage errors. File output goes through a
-temp file renamed into place, so a failing run never leaves a partial file.
+denominators, bad ranges, counts too large for a float), 2 for usage errors.
+File output goes through a temp file renamed into place, so a failing run
+never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -93,15 +94,15 @@ def _sum_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    from .verify import ResidualPair
+    from .verify import GridSpec, ResidualPair
 
     p.add_argument("--pair", choices=[pair.value for pair in ResidualPair], required=True)
     p.add_argument("--angle-min", type=float, required=True)
     p.add_argument("--angle-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--counts", required=True, help="comma-separated term counts")
-    p.add_argument("--guard", type=float, default=0.01,
-                   help="minimum denominator magnitude (default 0.01)")
+    p.add_argument("--guard", type=float, default=GridSpec.guard,
+                   help=f"minimum denominator magnitude (default {GridSpec.guard:g})")
     p.add_argument("--rows", action="store_true",
                    help="emit per-point CSV rows instead of the JSON summary")
 
@@ -161,14 +162,7 @@ def _run_construct(args: argparse.Namespace) -> str:
     _load("angle", "geometry")
     cfg = ConstructionConfig(alpha=Angle(args.alpha), n=args.n, start_line=Line(args.start_line))
     seq = construct_points(cfg)
-    if args.format == "csv":
-        return seq.to_csv()
-    return json_line({
-        "alpha": seq.alpha.radians,
-        "start_line": seq.start_line.value,
-        "points": [(p.index, p.line.value, p.point.x, p.point.y) for p in seq.points],
-        "tangency_events": seq.tangency_events,
-    })
+    return seq.to_csv() if args.format == "csv" else seq.to_json()
 
 
 def _run_sum(args: argparse.Namespace) -> str:
@@ -250,7 +244,7 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         payload = _SUBCOMMANDS[args.command][2](args)
-    except (TrigsumError, ValueError) as exc:
+    except (TrigsumError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

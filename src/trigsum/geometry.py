@@ -23,7 +23,7 @@ from .errors import (
     ExcludedAngle,
     SingularAngle,
 )
-from .formatting import csv_text
+from .formatting import csv_text, json_line
 
 #: Rejection tolerance for degenerate opening angles. Near |cos a| = 0 every
 #: second point falls back onto A_0 or A_1; near |sin a| = 0 the two lines
@@ -68,26 +68,15 @@ class PlacedPoint(Record):
 
 
 class ConstructionConfig(Record):
-    """Inputs of a construction run.
+    """Inputs of a construction run; n is the number of points beyond A_0."""
 
-    n is the number of points beyond A_0. epsilon_exclude rejects degenerate
-    opening angles; tol_tangent decides when the step circle is treated as
-    tangent to the target line.
-    """
+    __slots__ = ("alpha", "n", "start_line")
 
-    __slots__ = ("alpha", "n", "start_line", "epsilon_exclude", "tol_tangent")
-
-    def __init__(self, alpha: Angle, n: int, start_line: Line = Line.X,
-                 epsilon_exclude: float = EPSILON_EXCLUDE,
-                 tol_tangent: float = TOL_TANGENT) -> None:
+    def __init__(self, alpha: Angle, n: int, start_line: Line = Line.X) -> None:
         alpha = as_angle(alpha)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        if not epsilon_exclude > 0.0:
-            raise ValueError("epsilon_exclude must be > 0")
-        if not tol_tangent > 0.0:
-            raise ValueError("tol_tangent must be > 0")
-        self._set(alpha, n, start_line, epsilon_exclude, tol_tangent)
+        self._set(alpha, n, start_line)
 
 
 class PointSeq(Record):
@@ -110,10 +99,18 @@ class PointSeq(Record):
     def point_at(self, index: int) -> Point2:
         return self.points[index].point
 
+    def _rows(self) -> Iterator[tuple[int, str, float, float]]:
+        return ((p.index, p.line.value, p.point.x, p.point.y) for p in self.points)
+
     def to_csv(self) -> str:
         """Serialize as CSV rows index,line,x,y ordered by index."""
-        rows = ((p.index, p.line.value, p.point.x, p.point.y) for p in self.points)
-        return csv_text("index,line,x,y", rows)
+        return csv_text("index,line,x,y", self._rows())
+
+    def to_json(self) -> str:
+        """One-line JSON: alpha, start_line, the points as [index, line, x, y]
+        in index order, and tangency_events."""
+        return json_line({"alpha": self.alpha.radians, "start_line": self.start_line.value,
+                          "points": list(self._rows()), "tangency_events": self.tangency_events})
 
 
 def line_for_index(index: int, start_line: Line) -> Line:
@@ -140,27 +137,25 @@ def line_coordinates(cfg: ConstructionConfig) -> Iterator[tuple[float, bool]]:
     The returned iterator gives (t, tangent) for each point in index order:
     A_0 = 0, A_1 = +1, then one recurrence step per point, tangent marking a
     step where the step circle touched the target line. Opening angles where
-    the construction degenerates (|cos a| or |sin a| below
-    cfg.epsilon_exclude) are rejected by this call, before any step runs.
+    the construction degenerates (|cos a| or |sin a| below EPSILON_EXCLUDE)
+    are rejected by this call, before any step runs.
     """
     rad = cfg.alpha.radians
     cos_a, sin_a = math.cos(rad), math.sin(rad)
-    if abs(cos_a) < cfg.epsilon_exclude:
+    if abs(cos_a) < EPSILON_EXCLUDE:
         raise ExcludedAngle(
-            f"|cos(alpha)| = {abs(cos_a):.3e} < {cfg.epsilon_exclude:.3e}: "
+            f"|cos(alpha)| = {abs(cos_a):.3e} < {EPSILON_EXCLUDE:.3e}: "
             "every second point would fall back onto A0/A1"
         )
-    if abs(sin_a) < cfg.epsilon_exclude:
+    if abs(sin_a) < EPSILON_EXCLUDE:
         raise ExcludedAngle(
-            f"|sin(alpha)| = {abs(sin_a):.3e} < {cfg.epsilon_exclude:.3e}: "
+            f"|sin(alpha)| = {abs(sin_a):.3e} < {EPSILON_EXCLUDE:.3e}: "
             "the two lines coincide"
         )
-    return _walk(cos_a, sin_a, cfg.n, cfg.tol_tangent)
+    return _walk(cos_a, sin_a, cfg.n)
 
 
-def _walk(
-    cos_a: float, sin_a: float, n: int, tol_tangent: float
-) -> Iterator[tuple[float, bool]]:
+def _walk(cos_a: float, sin_a: float, n: int) -> Iterator[tuple[float, bool]]:
     """The construction steps, in line coordinates.
 
     At each step the current point sits at signed coordinate s = prev on the
@@ -170,6 +165,7 @@ def _walk(
     this quadratic, so preferring the intersection farther from it picks the
     other root. Yields (t, is_tangent).
     """
+    tol_tangent = TOL_TANGENT  # read at every step, so bound as a local
     prev2, prev = 0.0, 1.0
     yield prev2, False
     yield prev, False

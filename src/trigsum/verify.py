@@ -22,10 +22,6 @@ from .angle import Angle, as_angle, inclusive_grid
 from .errors import EmptyGrid, SingularDenominator, TrigsumError
 from .formatting import csv_text, json_line
 
-#: Above this many grid points, per-point rows are dropped by default and
-#: only the aggregate statistics are kept.
-ROW_RETENTION_LIMIT = 100_000
-
 
 class ResidualPair(Enum):
     """Named pairs of evaluation routes for the same sum or coordinate."""
@@ -174,7 +170,7 @@ _PAIR_RULES: dict[ResidualPair, _Rule] = {
 
 
 def residual_sweep(
-    grid: GridSpec, pair: ResidualPair, *, keep_rows: bool | None = None
+    grid: GridSpec, pair: ResidualPair, *, keep_rows: bool = False
 ) -> ResidualReport:
     """Evaluate a pair over the grid and aggregate |residual| statistics.
 
@@ -185,22 +181,19 @@ def residual_sweep(
     sin((2k+1) a) and sin(2k a), shared by its three closed forms. Memory
     per angle is O(len(counts)).
 
-    Rows are kept in canonical order (angle-major, count-minor) when
-    keep_rows is true, or by default when the grid has at most
-    ROW_RETENTION_LIMIT points. An angle whose denominator is below the
-    guard, or whose evaluation raises a domain error (possible only with
-    guard below the kernels' exact-zero check or the construction's
-    exclusion rule), counts all its grid points as skipped, so evaluated +
-    skipped always equals the grid size. Every such error depends on the
-    angle alone, except ConstructionImpossible, which is unreachable for
-    admissible angles: should it occur, the whole angle is skipped, also
-    the counts whose shorter walks stop before the failing step.
+    Per-point rows are kept, in canonical order (angle-major, count-minor),
+    only when keep_rows is true; otherwise rows is None at any grid size.
+    An angle whose denominator is below the guard, or whose evaluation
+    raises a domain error (possible only with guard below the kernels'
+    exact-zero check or the construction's exclusion rule), counts all its
+    grid points as skipped, so evaluated + skipped always equals the grid
+    size. Every such error depends on the angle alone, except
+    ConstructionImpossible, which is unreachable for admissible angles:
+    should it occur, the whole angle is skipped, also the counts whose
+    shorter walks stop before the failing step.
     """
     rule = _PAIR_RULES[pair]
     counts = grid.counts
-    total = grid.steps * len(counts)
-    if keep_rows is None:
-        keep_rows = total <= ROW_RETENTION_LIMIT
     rows: list[tuple[float, int, float]] | None = [] if keep_rows else None
 
     evaluated = 0
@@ -227,7 +220,7 @@ def residual_sweep(
             if rows is not None:
                 rows.append((rad, count, residual))
     if evaluated == 0:
-        raise EmptyGrid(f"all {total} grid points were guarded out")
+        raise EmptyGrid(f"all {skipped} grid points were guarded out")
     return ResidualReport(
         pair=pair,
         evaluated=evaluated,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_chebyu
 
 from trigsum import DegreeTooLarge, chebyshev_u, sin_ratio, u_sequence
-from trigsum.chebyshev import SIN_RATIO_SWITCH
+from trigsum.chebyshev import MAX_DEGREE, SIN_RATIO_SWITCH
 
 
 @pytest.mark.parametrize("x", [-2.0, -1.0, -0.3, 0.0, 0.5, 1.0, 7.5])
@@ -69,11 +69,11 @@ def test_degree_validation():
     with pytest.raises(ValueError):
         chebyshev_u(-1, 0.5)
     with pytest.raises(DegreeTooLarge):
-        chebyshev_u(10**6 + 1, 0.5)
+        chebyshev_u(MAX_DEGREE + 1, 0.5)
     with pytest.raises(DegreeTooLarge):
-        u_sequence(5, 0.5, max_degree=4)
+        u_sequence(MAX_DEGREE + 1, 0.5)
     # 8x^3 - 4x at x = 2
-    assert chebyshev_u(3, 2.0, max_degree=3) == pytest.approx(56.0)
+    assert chebyshev_u(3, 2.0) == pytest.approx(56.0)
 
 
 @given(st.integers(1, 200), st.floats(-1.0, 1.0))

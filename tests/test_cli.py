@@ -419,3 +419,20 @@ def test_sum_overflowing_argument_exits_with_error(capsys, method):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: math domain error\n"
+
+
+HUGE = str(10**400)  # an int too large for a float
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "--phi", "1", "--m", HUGE],
+    ["sum", "--phi", "1", "--m", HUGE, "--method", "lagrange"],
+    ["sum", "--phi", "1", "--m", HUGE, "--method", "halfangle"],
+    ["verify", "--pair", "LagrangeVsHalfangle", "--angle-min", "0.5", "--angle-max", "1",
+     "--steps", "3", "--counts", f"1,{HUGE}"],
+], ids=["auto", "lagrange", "halfangle", "verify"])
+def test_count_too_large_for_a_float_exits_with_error(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: int too large to convert to float\n"

@@ -100,10 +100,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ConstructionConfig(Angle(1.0), 0)
     with pytest.raises(ValueError):
-        ConstructionConfig(Angle(1.0), 3, epsilon_exclude=0.0)
-    with pytest.raises(ValueError):
-        ConstructionConfig(Angle(1.0), 3, tol_tangent=-1e-9)
-    with pytest.raises(ValueError):
         Angle(math.inf)
 
 

@@ -16,15 +16,7 @@ from dataclasses import make_dataclass
 import pytest
 
 from trigsum.angle import Angle
-from trigsum.geometry import (
-    EPSILON_EXCLUDE,
-    TOL_TANGENT,
-    ConstructionConfig,
-    Line,
-    PlacedPoint,
-    Point2,
-    PointSeq,
-)
+from trigsum.geometry import ConstructionConfig, Line, PlacedPoint, Point2, PointSeq
 from trigsum.kernels import ROUTES, Family, Method, Route, SumSpec, SumValue
 from trigsum.orbit import OrbitCurve
 
@@ -51,10 +43,8 @@ CASES = [
     (PlacedPoint, (1, Line.X, Point2(1.0, 0.0)),
      {"index": 1, "line": Line.X, "point": Point2(1.0, 0.0)},
      "PlacedPoint(index=1, line=<Line.X: 'x'>, point=Point2(x=1.0, y=0.0))"),
-    (ConstructionConfig, (A, 7, Line.E, 1e-6, 1e-9),
-     {"alpha": A, "n": 7, "start_line": Line.E, "epsilon_exclude": 1e-6, "tol_tangent": 1e-9},
-     "ConstructionConfig(alpha=Angle(radians=0.25), n=7, start_line=<Line.E: 'e'>, "
-     "epsilon_exclude=1e-06, tol_tangent=1e-09)"),
+    (ConstructionConfig, (A, 7, Line.E), {"alpha": A, "n": 7, "start_line": Line.E},
+     "ConstructionConfig(alpha=Angle(radians=0.25), n=7, start_line=<Line.E: 'e'>)"),
     (PointSeq, (A, Line.X, (P0, P1), (1,)),
      {"alpha": A, "start_line": Line.X, "points": (P0, P1), "tangency_events": (1,)},
      "PointSeq(alpha=Angle(radians=0.25), start_line=<Line.X: 'x'>, points=("
@@ -87,8 +77,7 @@ def test_positional_and_keyword_construction(cls, args, kwargs, text):
 def test_defaults():
     assert SumSpec(A, 3) == SumSpec(A, 3, Family.FULL)
     cfg = ConstructionConfig(A, 4)
-    assert (cfg.start_line, cfg.epsilon_exclude, cfg.tol_tangent) == (
-        Line.X, EPSILON_EXCLUDE, TOL_TANGENT)
+    assert cfg.start_line is Line.X
 
 
 def test_angles_are_coerced():
@@ -162,13 +151,8 @@ NAN = float("nan")
     (lambda: SumSpec(1.0, 0), "count must be >= 1, got 0"),
     (lambda: Point2(NAN, 1.0), r"coordinates must be finite, got \(nan, 1.0\)"),
     (lambda: Point2(1.0, -math.inf), r"coordinates must be finite, got \(1.0, -inf\)"),
-    (lambda: ConstructionConfig(NAN, 0, epsilon_exclude=0.0, tol_tangent=0.0),
-     "angle must be finite, got nan"),
-    (lambda: ConstructionConfig(1.0, 0, epsilon_exclude=0.0, tol_tangent=0.0),
-     "n must be >= 1, got 0"),
-    (lambda: ConstructionConfig(1.0, 1, epsilon_exclude=NAN, tol_tangent=0.0),
-     "epsilon_exclude must be > 0"),
-    (lambda: ConstructionConfig(1.0, 1, tol_tangent=-1.0), "tol_tangent must be > 0"),
+    (lambda: ConstructionConfig(NAN, 0), "angle must be finite, got nan"),
+    (lambda: ConstructionConfig(1.0, 0), "n must be >= 1, got 0"),
 ])
 def test_validation_order(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

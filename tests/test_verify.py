@@ -136,8 +136,8 @@ def test_monotone_guard():
 
 
 def test_determinism():
-    first = residual_sweep(small_grid(), ResidualPair.LAGRANGE_VS_HALFANGLE)
-    second = residual_sweep(small_grid(), ResidualPair.LAGRANGE_VS_HALFANGLE)
+    first = residual_sweep(small_grid(), ResidualPair.LAGRANGE_VS_HALFANGLE, keep_rows=True)
+    second = residual_sweep(small_grid(), ResidualPair.LAGRANGE_VS_HALFANGLE, keep_rows=True)
     assert first == second
     assert first.to_json() == second.to_json()
     assert first.to_csv() == second.to_csv()
@@ -145,19 +145,21 @@ def test_determinism():
 
 def test_row_order_is_angle_major_count_minor():
     grid = GridSpec(0.5, 0.7, 3, (5, 2))
-    report = residual_sweep(grid, ResidualPair.LAGRANGE_VS_NAIVE)
+    report = residual_sweep(grid, ResidualPair.LAGRANGE_VS_NAIVE, keep_rows=True)
     layout = [(angle, count) for angle, count, _ in report.rows]
     angles = grid.angles()
     assert layout == [(a, c) for a in angles for c in (5, 2)]
 
 
 def test_row_retention_control():
-    grid = GridSpec(0.5, 0.7, 3, (2,))
-    assert residual_sweep(grid, ResidualPair.LAGRANGE_VS_NAIVE).rows is not None
-    dropped = residual_sweep(grid, ResidualPair.LAGRANGE_VS_NAIVE, keep_rows=False)
+    dropped = residual_sweep(GridSpec(0.5, 0.7, 3, (2,)), ResidualPair.LAGRANGE_VS_NAIVE)
     assert dropped.rows is None
     with pytest.raises(ValueError):
         dropped.to_csv()
+    # kept on request at any size, here above 100 000 grid points
+    grid = GridSpec(0.5, 1.0, 50_001, (1, 2))
+    kept = residual_sweep(grid, ResidualPair.LAGRANGE_VS_HALFANGLE, keep_rows=True)
+    assert len(kept.rows) == kept.evaluated == 100_002
 
 
 def test_json_summary_shape():
@@ -180,7 +182,9 @@ def test_json_summary_shape():
 
 
 def test_csv_rows_shape():
-    report = residual_sweep(GridSpec(0.5, 0.9, 3, (2, 4)), ResidualPair.ODD_VS_NAIVE)
+    report = residual_sweep(
+        GridSpec(0.5, 0.9, 3, (2, 4)), ResidualPair.ODD_VS_NAIVE, keep_rows=True
+    )
     lines = report.to_csv().splitlines()
     assert lines[0] == "pair,angle,count,residual"
     assert len(lines) == 1 + report.evaluated
@@ -192,7 +196,7 @@ def test_csv_rows_shape():
 
 
 def test_argmax_is_reported_point():
-    report = residual_sweep(small_grid(), ResidualPair.HALFANGLE_VS_NAIVE)
+    report = residual_sweep(small_grid(), ResidualPair.HALFANGLE_VS_NAIVE, keep_rows=True)
     located = [
         abs(r)
         for angle, count, r in report.rows
@@ -330,7 +334,7 @@ IDENTITY_PAIRS = {
 def test_sweep_is_byte_identical_to_per_point_reference(name):
     grid = IDENTITY_GRIDS[name]
     for pair in IDENTITY_PAIRS.get(name, ResidualPair):
-        report = residual_sweep(grid, pair)
+        report = residual_sweep(grid, pair, keep_rows=True)
         expected = reference_sweep(grid, pair)
         assert report.to_json() == expected.to_json(), pair
         assert report.to_csv() == expected.to_csv(), pair
@@ -339,7 +343,7 @@ def test_sweep_is_byte_identical_to_per_point_reference(name):
 def test_projection_sweep_with_tangency_snaps_is_byte_identical():
     # the 500-angle projection grid: its tangency snaps leave residuals ~1e-5
     grid = GridSpec(0.05, TWO_PI - 0.05, 500, (1, 10, 50, 100, 249))
-    report = residual_sweep(grid, ResidualPair.PROJECTION_VS_CLOSED_FORM)
+    report = residual_sweep(grid, ResidualPair.PROJECTION_VS_CLOSED_FORM, keep_rows=True)
     expected = reference_sweep(grid, ResidualPair.PROJECTION_VS_CLOSED_FORM)
     assert report.max_abs_residual > 1e-6
     assert report.to_json() == expected.to_json()
