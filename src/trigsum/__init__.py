@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "angle": ("Angle", "as_angle"),
     "bench": ("BENCH_PHI", "BenchResult", "measure"),
-    "chebyshev": ("MAX_DEGREE", "chebyshev_u", "sin_ratio", "u_sequence"),
+    "chebyshev": ("MAX_DEGREE", "chebyshev_u", "u_sequence"),
     "errors": ("TrigsumError", "ExcludedAngle", "SingularAngle", "SingularDenominator",
                "ConstructionImpossible", "CountOutOfRange", "DegreeTooLarge", "BadRange",
                "EmptyGrid"),
@@ -25,9 +25,8 @@ _EXPORTS = {
                  "chebyshev_form_point", "line_coordinates", "line_for_index",
                  "projection_sum", "projection_sums", "segment_direction_angles"),
     "kernels": ("DEFAULT_THRESHOLD", "Family", "Method", "SumSpec", "SumValue", "naive_trig_sum",
-                "naive_running_sums", "compensated_trig_sum", "lagrange_sum",
-                "halfangle_free_sum", "even_index_sum", "odd_index_sum",
-                "x_coordinate_identity", "sum_auto"),
+                "naive_running_sums", "lagrange_sum", "halfangle_free_sum", "even_index_sum",
+                "odd_index_sum", "x_coordinate_identity", "sum_auto"),
     "orbit": ("EmitFormat", "OrbitCurve", "orbit_samples", "emit"),
     "verify": ("GridSpec", "ResidualPair", "ResidualReport", "MethodComparison",
                "residual_sweep", "compare_methods"),

@@ -48,6 +48,8 @@ def measure(m: int, repeats: int) -> BenchResult:
         raise ValueError(f"m must be >= 1, got {m}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    # untimed: a count no float can hold raises here, before the O(m) naive loop
+    halfangle_free_sum(BENCH_PHI, m)
     spec = SumSpec(Angle(BENCH_PHI), m, Family.FULL)
     naive_ns = _ns_per_eval(lambda: naive_trig_sum(spec), repeats)
     closed_ns = _ns_per_eval(lambda: halfangle_free_sum(BENCH_PHI, m), repeats)

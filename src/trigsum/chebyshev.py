@@ -1,26 +1,19 @@
-"""Chebyshev polynomials of the second kind and the stable sine-ratio form.
+"""Chebyshev polynomials of the second kind.
 
 U_n satisfies U_n(cos a) * sin a = sin((n+1) a). The polynomial values are
-total in the angle, which makes them the safe evaluation route wherever
-sin a vanishes; the direct quotient sin(n a)/sin a is preferred elsewhere.
+total in the angle, which makes them the safe evaluation route for the
+ratio sin((n+1) a)/sin a wherever sin a vanishes.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import TYPE_CHECKING, Union
 
-from .angle import Angle, as_angle
 from .errors import DegreeTooLarge
 
 #: Evaluation is O(degree); degrees above this are rejected.
 MAX_DEGREE = 10**6
-
-#: |sin a| below which sin_ratio switches from the direct quotient to the
-#: polynomial branch. The quotient loses digits as 1/|sin a| while the
-#: polynomial branch stays stable there (its error grows with n instead).
-SIN_RATIO_SWITCH = 1e-4
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,22 +63,6 @@ def u_sequence(max_deg: int, x: FloatOrArray) -> list:
     for _ in range(max_deg - 1):
         values.append(two_x * values[-1] - values[-2])
     return values
-
-
-def sin_ratio(n: int, alpha: Angle | float) -> float:
-    """sin(n a) / sin(a), evaluated by whichever branch is stable at a.
-
-    Below SIN_RATIO_SWITCH the quotient would amplify rounding as
-    1/|sin a|, so the polynomial branch U_{n-1}(cos a) takes over; the two
-    agree wherever both are well conditioned.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rad = as_angle(alpha).radians
-    s = math.sin(rad)
-    if abs(s) < SIN_RATIO_SWITCH:
-        return float(chebyshev_u(n - 1, math.cos(rad)))
-    return math.sin(n * rad) / s
 
 
 def _check_degree(degree: int) -> None:

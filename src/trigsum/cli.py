@@ -16,9 +16,6 @@ import sys
 from .errors import TrigsumError
 from .formatting import json_line
 
-#: Environment override for the fallback threshold of `sum` (decimal string).
-THRESHOLD_ENV = "TRIGSUM_THRESHOLD"
-
 #: The library names the handlers call, by defining module. A handler binds
 #: its modules' names here on its first call (`_load`), so a process imports
 #: only what its subcommand runs; reading one as an attribute of this module
@@ -88,9 +85,8 @@ def _sum_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--phi", type=float, required=True, help="angle in radians")
     p.add_argument("--m", type=int, required=True, help="number of terms")
     p.add_argument("--method", choices=[*FULL_FORMS, "auto", NAIVE], default="auto")
-    p.add_argument("--threshold", type=float, default=None,
-                   help=f"singularity threshold (default {DEFAULT_THRESHOLD:g}, "
-                        f"or ${THRESHOLD_ENV})")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                   help=f"singularity threshold (default {DEFAULT_THRESHOLD:g})")
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
@@ -144,20 +140,6 @@ def _parse_counts(parser: argparse.ArgumentParser, text: str) -> tuple[int, ...]
     return counts
 
 
-def _resolve_threshold(parser: argparse.ArgumentParser, flag_value: float | None) -> float:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(THRESHOLD_ENV)
-    if raw is None:
-        from .kernels import DEFAULT_THRESHOLD
-
-        return DEFAULT_THRESHOLD
-    try:
-        return float(raw)
-    except ValueError:
-        parser.error(f"invalid {THRESHOLD_ENV} value {raw!r}")
-
-
 def _run_construct(args: argparse.Namespace) -> str:
     _load("angle", "geometry")
     cfg = ConstructionConfig(alpha=Angle(args.alpha), n=args.n, start_line=Line(args.start_line))
@@ -167,9 +149,8 @@ def _run_construct(args: argparse.Namespace) -> str:
 
 def _run_sum(args: argparse.Namespace) -> str:
     _load("angle", "kernels")
-    threshold = args.effective_threshold
     if args.method == "auto":
-        result = sum_auto(SumSpec(Angle(args.phi), args.m), threshold=threshold)
+        result = sum_auto(SumSpec(Angle(args.phi), args.m), threshold=args.threshold)
         value, method, proximity = result.value, result.method.value, result.singular_proximity
     elif args.method == NAIVE:
         # reported against the denominator of sum_auto's default form
@@ -177,7 +158,7 @@ def _run_sum(args: argparse.Namespace) -> str:
         method, proximity = NAIVE, abs(ROUTES[DEFAULT_FULL_FORM].denominator(args.phi))
     else:
         kernel = {"lagrange": lagrange_sum, "halfangle": halfangle_free_sum}[args.method]
-        value = kernel(args.phi, args.m, threshold=threshold)
+        value = kernel(args.phi, args.m, threshold=args.threshold)
         method, proximity = args.method, abs(ROUTES[args.method].denominator(args.phi))
     return json_line({"value": value, "method": method, "singular_proximity": proximity})
 
@@ -237,8 +218,6 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "verify":
             args.counts_list = _parse_counts(parser, args.counts)
-        elif args.command == "sum":
-            args.effective_threshold = _resolve_threshold(parser, args.threshold)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

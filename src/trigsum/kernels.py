@@ -91,8 +91,7 @@ def naive_trig_sum(spec: SumSpec) -> float:
     """Literal term-by-term sum, plain accumulation in index order.
 
     Error grows like count * eps, which every comparison tolerance budgets
-    for. compensated_trig_sum removes only the accumulation part of that
-    error; neither is a reference for the true sum.
+    for; it is no reference for the true sum.
     """
     return _add_terms(0.0, spec.angle.radians, _multiples(spec.family, 0, spec.count))
 
@@ -118,19 +117,6 @@ def naive_running_sums(
         totals[count] = total
         done = count
     return [totals[count] for count in counts]
-
-
-def compensated_trig_sum(spec: SumSpec) -> float:
-    """Correctly rounded sum of the already rounded terms (math.fsum).
-
-    This removes the accumulation error of naive_trig_sum, not the error in
-    the terms: each cos(l*phi) is evaluated at the rounded product l*phi,
-    whose argument error is about l*|phi|*eps. So the result is not the true
-    sum to working precision, and it is no verification-grade oracle.
-    """
-    rad = spec.angle.radians
-    multiples = _multiples(spec.family, 0, spec.count)
-    return math.fsum(math.cos(mult * rad) for mult in multiples)
 
 
 def _guard(den: float, threshold: float, what: str) -> float:

@@ -128,15 +128,17 @@ def _projection_vs_closed_form(angle: Angle, guard: float, counts: Sequence[int]
 
     # The x-projections of the first 2k+2 segments telescope to the terminal
     # abscissa, whose closed form is the identity's right-hand side. One
-    # construction walk, to the largest n, serves every count.
+    # construction walk, to the largest n, serves every count. The closed
+    # side runs first, so a count no float can hold raises before the walk.
     rad = angle.radians
     terminal = kernels.ROUTES["x_terminal"]
     den = terminal.checked(rad, guard)
     kernels._guard(math.cos(rad), guard, "cos(alpha)")
+    rhs = [terminal.evaluate(rad, den, k) for k in counts]
     ns = [2 * k + 2 for k in counts]
     cfg = geometry.ConstructionConfig(angle, max(ns))
     lhs = geometry.projection_sums(cfg, geometry.Line.X, ns)
-    return [x - terminal.evaluate(rad, den, k) for k, x in zip(counts, lhs)]
+    return [x - r for x, r in zip(lhs, rhs)]
 
 
 def _decomposition_vs_halfangle(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:

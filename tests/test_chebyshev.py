@@ -1,4 +1,4 @@
-"""Tests for the second-kind Chebyshev recurrence and the sine-ratio form."""
+"""Tests for the second-kind Chebyshev recurrence."""
 
 import math
 
@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_chebyu
 
-from trigsum import DegreeTooLarge, chebyshev_u, sin_ratio, u_sequence
-from trigsum.chebyshev import MAX_DEGREE, SIN_RATIO_SWITCH
+from trigsum import DegreeTooLarge, chebyshev_u, u_sequence
+from trigsum.chebyshev import MAX_DEGREE
 
 
 @pytest.mark.parametrize("x", [-2.0, -1.0, -0.3, 0.0, 0.5, 1.0, 7.5])
@@ -107,29 +107,3 @@ def test_ratio_identity_on_guarded_grid():
     for n in range(1, 101):
         residual = np.max(np.abs(seq[n - 1] * sin_a - np.sin(n * alphas)))
         assert residual <= 1e-10 * n
-
-
-def test_sin_ratio_degree_one_is_unity():
-    for alpha in (0.1, 1.0, 3.0, 5.9, 1e-9):
-        assert sin_ratio(1, alpha) == 1.0
-
-
-def test_sin_ratio_quotient_branch():
-    assert sin_ratio(3, math.pi / 4) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sin_ratio_near_zero_uses_polynomial_branch():
-    # limit of sin(2a)/sin(a) = 2 cos(a) at a -> 0
-    assert sin_ratio(2, 1e-12) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_sin_ratio_branches_agree_near_switch():
-    for offset in (-1e-5, 1e-5):
-        alpha = SIN_RATIO_SWITCH + 2e-4 + offset
-        quotient = math.sin(5 * alpha) / math.sin(alpha)
-        assert sin_ratio(5, alpha) == pytest.approx(quotient, abs=1e-9)
-
-
-def test_sin_ratio_rejects_nonpositive_n():
-    with pytest.raises(ValueError):
-        sin_ratio(0, 0.5)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from trigsum import (
     SingularDenominator,
     SumSpec,
     closed_form_point,
-    compensated_trig_sum,
     even_index_sum,
     halfangle_free_sum,
     lagrange_sum,
@@ -252,12 +252,23 @@ def test_decomposition_matches_full_form(alpha, k):
     assert abs(total - halfangle_free_sum(alpha, 2 * k)) <= 1e-9
 
 
-@given(guarded_angles, st.integers(1, 500))
+@given(st.sampled_from(list(Family)), st.integers(1, 500), st.floats(-20.0, 20.0))
 @settings(deadline=None)
-def test_compensated_tracks_naive(phi, m):
-    plain = naive_trig_sum(spec(phi, m))
-    exact = compensated_trig_sum(spec(phi, m))
-    assert abs(plain - exact) <= 1e-13 * m
+def test_naive_within_its_error_bound_of_an_mpmath_reference(family, m, phi):
+    multiples = {Family.FULL: range(1, m + 1), Family.EVEN: range(2, 2 * m + 1, 2),
+                 Family.ODD: range(1, 2 * m, 2)}[family]
+    top = multiples[-1]
+    # With u = 2**-53: each term is cos of the rounded product mult*phi, whose
+    # argument is off by at most top*|phi|*u, and cos is 1-Lipschitz; math.cos
+    # adds under u. The total after j terms is at most j in magnitude, so the
+    # additions round by at most (2 + ... + m)*u. Together that is below
+    # m*top*|phi|*u + (m**2 + 3m - 2)/2*u <= m*(top*|phi| + m)*2u.
+    bound = m * (top * abs(phi) + m) * 2.0**-52
+    with mpmath.workprec(200):
+        x = mpmath.mpf(phi)
+        exact = mpmath.fsum(mpmath.cos(mult * x) for mult in multiples)
+        error = abs(mpmath.mpf(naive_trig_sum(spec(phi, m, family))) - exact)
+    assert error <= bound
 
 
 @pytest.mark.parametrize("full_form", ["halfangle", "lagrange"])
