@@ -81,9 +81,30 @@ def _multiples(family: Family, done: int, count: int) -> range:
 
 
 def _add_terms(total: float, rad: float, multiples: range) -> float:
-    """Add cos(mult * rad) to total for each multiplier, in order."""
+    """Add cos(mult * rad) to total for each multiplier, in order.
+
+    Runs of eight terms are added in one left-associated expression, so the
+    additions are those of the one-term loop, in its order. The multiplier
+    steps as a float, which is the exact integer below 2**53 (no loop gets
+    near that many terms), so every product has the bits of mult * rad. The
+    last len % 8 terms take the one-term loop, and a range shorter than 8
+    takes only that loop, with no run set-up.
+    """
+    cos = math.cos
+    whole = len(multiples) & ~7
+    if whole:
+        s1 = float(multiples.step)
+        s2, s3, s4, s5, s6, s7 = 2.0 * s1, 3.0 * s1, 4.0 * s1, 5.0 * s1, 6.0 * s1, 7.0 * s1
+        jump = 8.0 * s1
+        x = float(multiples.start)
+        for _ in range(whole >> 3):
+            total = (total + cos(x * rad) + cos((x + s1) * rad) + cos((x + s2) * rad)
+                     + cos((x + s3) * rad) + cos((x + s4) * rad) + cos((x + s5) * rad)
+                     + cos((x + s6) * rad) + cos((x + s7) * rad))
+            x += jump
+        multiples = multiples[whole:]
     for mult in multiples:
-        total += math.cos(mult * rad)
+        total += cos(mult * rad)
     return total
 
 

@@ -355,7 +355,12 @@ options:
 VERIFY_ARGS = ["--angle-min", "0.5", "--angle-max", "1.5", "--steps", "4"]
 
 
-@pytest.mark.parametrize("argv, expected", [
+def argv_ids(cases):
+    """One test id per (argv, expected) case, from the argv alone."""
+    return [" ".join(argv) or "no-args" for argv, _ in cases]
+
+
+HELP_CASES = [
     (["--help"], TOP_HELP),
     (["-h", "sum"], TOP_HELP),
     (["construct", "--help"], CONSTRUCT_HELP),
@@ -363,7 +368,10 @@ VERIFY_ARGS = ["--angle-min", "0.5", "--angle-max", "1.5", "--steps", "4"]
     (["verify", "--help"], VERIFY_HELP),
     (["orbit", "--help"], ORBIT_HELP),
     (["bench", "-h"], BENCH_HELP),
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("argv, expected", HELP_CASES, ids=argv_ids(HELP_CASES))
 def test_help_bytes(capsys, monkeypatch, argv, expected):
     monkeypatch.setenv("COLUMNS", "80")
     assert run(argv) == 0
@@ -372,7 +380,7 @@ def test_help_bytes(capsys, monkeypatch, argv, expected):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("argv, expected", [
+USAGE_ERROR_CASES = [
     ([], TOP_USAGE + "trigsum: error: the following arguments are required: command\n"),
     (["frobnicate"], TOP_USAGE + "trigsum: error: argument command: invalid choice: "
      "'frobnicate' (choose from 'construct', 'sum', 'verify', 'orbit', 'bench')\n"),
@@ -386,7 +394,10 @@ def test_help_bytes(capsys, monkeypatch, argv, expected):
      "(choose from " + ", ".join(f"'{p}'" for p in PAIRS.split(",")) + ")\n"),
     (["verify", "--pair", "EvenVsNaive", *VERIFY_ARGS, "--counts", "2,x"],
      TOP_USAGE + "trigsum: error: --counts expects comma-separated integers, got '2,x'\n"),
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("argv, expected", USAGE_ERROR_CASES, ids=argv_ids(USAGE_ERROR_CASES))
 def test_usage_error_bytes(capsys, monkeypatch, argv, expected):
     monkeypatch.setenv("COLUMNS", "80")
     assert run(argv) == 2

@@ -55,6 +55,34 @@ def test_naive_running_sums_match_naive_bit_for_bit(family, phi):
     ]
 
 
+MULTIPLIER = {Family.FULL: lambda l: l, Family.EVEN: lambda l: 2 * l,
+              Family.ODD: lambda l: 2 * l - 1}
+
+
+def literal_sum(phi, count, family):
+    """The one-term-at-a-time loop, kept here so the kernel is checked against it."""
+    rad = Angle(phi).radians
+    total = 0.0
+    for mult in map(MULTIPLIER[family], range(1, count + 1)):
+        total += math.cos(mult * rad)
+    return total
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("phi", [0.37, -2.5, 123456.789, PI, 40000 * PI + 5e-5, 0.0])
+def test_naive_kernel_matches_the_literal_loop_bit_for_bit(family, phi):
+    # every remainder mod 8, below and above one run of eight, and two long sums
+    counts = [*range(1, 41), 1000, 4103]
+    assert [naive_trig_sum(spec(phi, c, family)).hex() for c in counts] == [
+        literal_sum(phi, c, family).hex() for c in counts
+    ]
+    # running counts that start and stop inside a run of eight
+    split = (3, 8, 9, 16, 17, 5, 1000, 3)
+    assert [x.hex() for x in naive_running_sums(phi, family, split)] == [
+        literal_sum(phi, c, family).hex() for c in split
+    ]
+
+
 def test_naive_running_sums_validation():
     assert naive_running_sums(1.0, Family.FULL, ()) == []
     with pytest.raises(ValueError):
