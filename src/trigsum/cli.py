@@ -16,58 +16,52 @@ import sys
 from .errors import TrigsumError
 from .formatting import json_line
 
-#: The library names the handlers call, by defining module. A handler binds
-#: its modules' names here on its first call (`_load`), so a process imports
-#: only what its subcommand runs; reading one as an attribute of this module
-#: binds it too. A name already bound, such as a wrapper patched onto this
-#: module, is kept, and the handlers call whatever is bound at call time.
+#: The library names each subcommand reads from this module, by subcommand and
+#: defining module. A subcommand's parser binds them here when it is invoked
+#: (`_load`), so a process imports only what its subcommand runs. A name
+#: already bound, such as a wrapper patched onto this module, is kept, and the
+#: handlers call whatever is bound at call time.
 _LIBRARY = {
-    "angle": ("Angle",),
-    "bench": ("measure",),
-    "geometry": ("ConstructionConfig", "Line", "construct_points"),
-    "kernels": ("DEFAULT_FULL_FORM", "NAIVE", "ROUTES", "SumSpec", "halfangle_free_sum",
-                "lagrange_sum", "naive_trig_sum", "sum_auto"),
-    "orbit": ("EmitFormat", "emit", "orbit_samples"),
-    "verify": ("GridSpec", "ResidualPair", "residual_sweep"),
+    "construct": {"angle": ("Angle",),
+                  "geometry": ("ConstructionConfig", "Line", "construct_points")},
+    "sum": {"angle": ("Angle",),
+            "kernels": ("DEFAULT_FULL_FORM", "DEFAULT_THRESHOLD", "FULL_FORMS", "NAIVE", "ROUTES",
+                        "SumSpec", "halfangle_free_sum", "lagrange_sum", "naive_trig_sum",
+                        "sum_auto")},
+    "verify": {"verify": ("GridSpec", "ResidualPair", "residual_sweep")},
+    "orbit": {"orbit": ("TWO_PI", "EmitFormat", "emit", "orbit_samples")},
+    "bench": {"bench": ("measure",)},
 }
 
-_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
 
-
-def _load(*modules: str) -> None:
+def _load(command: str) -> None:
     namespace = globals()
-    for module in modules:
+    for module, names in _LIBRARY[command].items():
         # __import__, unlike importlib.import_module, shows in `python -X importtime`
         source = getattr(__import__(f"{__package__}.{module}"), module)
-        for name in _LIBRARY[module]:
+        for name in names:
             namespace.setdefault(name, getattr(source, name))
 
 
-def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_HOME[name])
-    return globals()[name]
-
-
 class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments when it is invoked.
+    """A subcommand's parser, which loads its library names and adds its
+    arguments when it is invoked, `--help` included.
 
     `trigsum --help` lists only subcommand names and help strings, so a
-    process builds, and imports the constants of, only the arguments of the
-    subcommand it runs.
+    process imports, and builds the arguments of, only the subcommand it runs.
     """
 
-    def __init__(self, *args, add_arguments, **kwargs) -> None:
+    def __init__(self, *args, command, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._add_arguments = add_arguments
+        self._pending = command
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            self._add_arguments(self)
+        if self._pending is not None:
+            _load(self._pending)
+            _SUBCOMMANDS[self._pending][1](self)
             self.add_argument("--out", metavar="PATH",
                               help="write output to PATH instead of stdout")
-            self._add_arguments = None
+            self._pending = None
         return super().parse_known_args(args, namespace)
 
 
@@ -80,8 +74,6 @@ def _construct_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _sum_arguments(p: argparse.ArgumentParser) -> None:
-    from .kernels import DEFAULT_THRESHOLD, FULL_FORMS, NAIVE
-
     p.add_argument("--phi", type=float, required=True, help="angle in radians")
     p.add_argument("--m", type=int, required=True, help="number of terms")
     p.add_argument("--method", choices=[*FULL_FORMS, "auto", NAIVE], default="auto")
@@ -90,8 +82,6 @@ def _sum_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    from .verify import GridSpec, ResidualPair
-
     p.add_argument("--pair", choices=[pair.value for pair in ResidualPair], required=True)
     p.add_argument("--angle-min", type=float, required=True)
     p.add_argument("--angle-max", type=float, required=True)
@@ -104,8 +94,6 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _orbit_arguments(p: argparse.ArgumentParser) -> None:
-    from .orbit import TWO_PI
-
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha-min", type=float, default=0.0)
     p.add_argument("--alpha-max", type=float, default=TWO_PI)
@@ -125,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "and the two-line unit-segment construction behind them.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, command=name)
     return parser
 
 
@@ -135,20 +123,18 @@ def _parse_counts(parser: argparse.ArgumentParser, text: str) -> tuple[int, ...]
         counts = tuple(int(part) for part in text.split(","))
     except ValueError:
         parser.error(f"--counts expects comma-separated integers, got {text!r}")
-    if not counts or any(c < 1 for c in counts):
+    if any(c < 1 for c in counts):
         parser.error(f"--counts entries must be >= 1, got {text!r}")
     return counts
 
 
 def _run_construct(args: argparse.Namespace) -> str:
-    _load("angle", "geometry")
     cfg = ConstructionConfig(alpha=Angle(args.alpha), n=args.n, start_line=Line(args.start_line))
     seq = construct_points(cfg)
     return seq.to_csv() if args.format == "csv" else seq.to_json()
 
 
 def _run_sum(args: argparse.Namespace) -> str:
-    _load("angle", "kernels")
     if args.method == "auto":
         result = sum_auto(SumSpec(Angle(args.phi), args.m), threshold=args.threshold)
         value, method, proximity = result.value, result.method.value, result.singular_proximity
@@ -164,20 +150,17 @@ def _run_sum(args: argparse.Namespace) -> str:
 
 
 def _run_verify(args: argparse.Namespace) -> str:
-    _load("verify")
     grid = GridSpec(args.angle_min, args.angle_max, args.steps, args.counts_list, args.guard)
     report = residual_sweep(grid, ResidualPair(args.pair), keep_rows=args.rows)
     return report.to_csv() if args.rows else report.to_json()
 
 
-def _run_orbit(args: argparse.Namespace) -> bytes:
-    _load("orbit")
+def _run_orbit(args: argparse.Namespace) -> str:
     curve = orbit_samples(args.n, args.alpha_min, args.alpha_max, args.steps)
-    return emit(curve, EmitFormat(args.format))
+    return emit(curve, EmitFormat(args.format)).decode("utf-8")
 
 
 def _run_bench(args: argparse.Namespace) -> str:
-    _load("bench")
     return measure(args.m, args.repeats).to_json()
 
 
@@ -192,10 +175,9 @@ _SUBCOMMANDS = {
 }
 
 
-def _write_output(payload: str | bytes, out_path: str | None) -> None:
-    data = payload.encode("utf-8") if isinstance(payload, str) else payload
+def _write_output(payload: str, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.write(payload)
         sys.stdout.flush()
         return
     import tempfile
@@ -203,8 +185,8 @@ def _write_output(payload: str | bytes, out_path: str | None) -> None:
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trigsum-tmp-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
         os.replace(tmp, out_path)
     finally:
         if os.path.exists(tmp):
@@ -219,7 +201,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             args.counts_list = _parse_counts(parser, args.counts)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
 
     try:
         payload = _SUBCOMMANDS[args.command][2](args)

@@ -307,6 +307,7 @@ def segment_direction_angles(seq: PointSeq) -> list[float]:
     """
     out = []
     for prev, cur in zip(seq.points, seq.points[1:]):
-        ang = math.atan2(cur.point.y - prev.point.y, cur.point.x - prev.point.x)
-        out.append(ang % _TWO_PI)
+        ang = math.atan2(cur.point.y - prev.point.y, cur.point.x - prev.point.x) % _TWO_PI
+        # a tiny negative atan2 rounds up to 2 pi here, the direction of 0
+        out.append(0.0 if ang == _TWO_PI else ang)
     return out

@@ -273,6 +273,14 @@ def test_direction_angle_law(alpha):
         assert circular_diff(angles[l - 1], expected % TWO_PI) <= 1e-9
 
 
+def test_direction_angles_stay_below_two_pi():
+    # segment 14 at pi/7 has dy = -2.4e-16: atan2 returns -2.4e-16, which a
+    # plain `% 2 pi` rounds up to exactly 2 pi
+    angles = segment_direction_angles(build(math.pi / 7, 14))
+    assert all(0.0 <= angle < TWO_PI for angle in angles)
+    assert angles[13] == 0.0
+
+
 def test_csv_serialization():
     seq = build(math.pi / 4, 3)
     text = seq.to_csv()

@@ -30,8 +30,10 @@ PROJECTION = "ProjectionVsClosedForm"
 LOADED[PROJECTION] = LOADED["verify"] | {"chebyshev", "geometry"}
 
 #: dataclasses and the largest module it pulls in; the value types of the
-#: sum, construct and orbit paths do without them.
+#: sum, construct, orbit and bench paths do without them.
 DATACLASSES = {"dataclasses", "inspect"}
+
+BENCH = ["bench", "--m", "100", "--repeats", "10"]
 
 VERIFY = ["verify", "--pair", "LagrangeVsHalfangle", "--angle-min", "0.05",
           "--angle-max", "6.2", "--steps", "20", "--counts", "1,8,64"]
@@ -74,7 +76,8 @@ def test_subcommand_in_a_fresh_process(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [argv for argv in ARGVS if argv[0] in ("sum", "construct", "orbit")], ids=" ".join)
+    "argv", [argv for argv in ARGVS if argv[0] in ("sum", "construct", "orbit")] + [BENCH],
+    ids=" ".join)
 def test_value_types_load_no_dataclasses(argv):
     proc, _ = fresh(["-m", "trigsum.cli", *argv])
     assert proc.returncode == 0
@@ -82,11 +85,23 @@ def test_value_types_load_no_dataclasses(argv):
 
 
 def test_bench_in_a_fresh_process(capsys):
-    argv = ["bench", "--m", "100", "--repeats", "10"]
-    proc, loaded = fresh(["-m", "trigsum.cli", *argv])
-    assert cli.run(argv) == proc.returncode == 0
+    proc, loaded = fresh(["-m", "trigsum.cli", *BENCH])
+    assert cli.run(BENCH) == proc.returncode == 0
     assert list(json.loads(proc.stdout)) == list(json.loads(capsys.readouterr().out))
     assert loaded == LOADED["bench"]
+
+
+def test_top_level_help_loads_only_errors_and_formatting():
+    proc, loaded = fresh(["-m", "trigsum.cli", "--help"])
+    assert proc.returncode == 0
+    assert loaded == {"errors", "formatting"}
+
+
+@pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+def test_subcommand_help_loads_its_modules(command):
+    proc, loaded = fresh(["-m", "trigsum.cli", command, "--help"])
+    assert proc.returncode == 0
+    assert loaded == LOADED[command]
 
 
 def test_import_trigsum_loads_no_submodule():

@@ -95,3 +95,29 @@ def test_scalar_cli_paths_do_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_the_library_runs_without_numpy():
+    # a None entry in sys.modules makes every `import numpy` raise ImportError
+    code = (
+        "import contextlib, importlib, io, math, pkgutil, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import trigsum\n"
+        "for info in pkgutil.iter_modules(trigsum.__path__):\n"
+        "    importlib.import_module(f'trigsum.{info.name}')\n"
+        "from trigsum import (Angle, ConstructionConfig, EmitFormat, GridSpec, ResidualPair,\n"
+        "                     SumSpec, cli, construct_points, emit, orbit_samples,\n"
+        "                     residual_sweep, sum_auto)\n"
+        "assert math.isfinite(sum_auto(SumSpec(Angle(1.0), 50)).value)\n"
+        "assert len(construct_points(ConstructionConfig(Angle(0.9), 7)).points) == 8\n"
+        "svg = emit(orbit_samples(3, 0.0, 6.0, 33), EmitFormat.SVG)\n"
+        "assert svg.startswith(b'<svg')\n"
+        "report = residual_sweep(GridSpec(0.05, 1.5, 20, (1, 8, 64)),\n"
+        "                        ResidualPair.PROJECTION_VS_CLOSED_FORM)\n"
+        "assert report.evaluated == 60\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['bench', '--m', '100', '--repeats', '10']) == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

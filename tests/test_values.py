@@ -1,7 +1,7 @@
 """The contract of the library's immutable value types.
 
 Angle, SumSpec, SumValue, Route, Point2, PlacedPoint, ConstructionConfig,
-PointSeq and OrbitCurve are values: they are built positionally or by
+PointSeq, OrbitCurve and BenchResult are values: they are built positionally or by
 keyword with the documented defaults, compare and hash by field and only
 against their own class, print as ClassName(field=value, ...), refuse
 assignment and deletion, validate their inputs in a fixed order, and survive
@@ -16,6 +16,7 @@ from dataclasses import make_dataclass
 import pytest
 
 from trigsum.angle import Angle
+from trigsum.bench import BenchResult
 from trigsum.geometry import ConstructionConfig, Line, PlacedPoint, Point2, PointSeq
 from trigsum.kernels import ROUTES, Family, Method, Route, SumSpec, SumValue
 from trigsum.orbit import OrbitCurve
@@ -55,6 +56,8 @@ CASES = [
      {"n": 3, "alpha_min": 0.0, "alpha_max": 0.5, "steps": 2, "samples": SAMPLES},
      "OrbitCurve(n=3, alpha_min=0.0, alpha_max=0.5, steps=2, "
      "samples=((0.0, 0.0, 0.0), (0.5, 1.5, -0.25)))"),
+    (BenchResult, (1234.5, 6.25), {"naive_ns_per_eval": 1234.5, "closed_ns_per_eval": 6.25},
+     "BenchResult(naive_ns_per_eval=1234.5, closed_ns_per_eval=6.25)"),
 ]
 
 IDS = [case[0].__name__ for case in CASES]
