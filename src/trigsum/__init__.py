@@ -28,8 +28,7 @@ _EXPORTS = {
                 "naive_running_sums", "lagrange_sum", "halfangle_free_sum", "even_index_sum",
                 "odd_index_sum", "x_coordinate_identity", "sum_auto"),
     "orbit": ("EmitFormat", "OrbitCurve", "orbit_samples", "emit"),
-    "verify": ("GridSpec", "ResidualPair", "ResidualReport", "MethodComparison",
-               "residual_sweep", "compare_methods"),
+    "verify": ("GridSpec", "ResidualPair", "ResidualReport", "residual_sweep"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .errors import TrigsumError
@@ -43,6 +44,10 @@ def _load(command: str) -> None:
             namespace.setdefault(name, getattr(source, name))
 
 
+#: A negative decimal number, with an optional exponent: -5, -2.5, -.5e1, -1e-5.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _SubcommandParser(argparse.ArgumentParser):
     """A subcommand's parser, which loads its library names and adds its
     arguments when it is invoked, `--help` included.
@@ -54,6 +59,9 @@ class _SubcommandParser(argparse.ArgumentParser):
     def __init__(self, *args, command, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._pending = command
+        # argparse takes only -2 and -2.5 forms for negative numbers, and
+        # -1e-5 for an unknown option; this also admits exponent forms
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def parse_known_args(self, args=None, namespace=None):
         if self._pending is not None:

@@ -117,27 +117,58 @@ def naive_trig_sum(spec: SumSpec) -> float:
     return _add_terms(0.0, spec.angle.radians, _multiples(spec.family, 0, spec.count))
 
 
+class RunningSumPlan:
+    """naive_trig_sum of one family at fixed counts, prepared for any angle.
+
+    Built once from (family, counts): the distinct counts in increasing
+    order, one step per gap between consecutive ones, and the read-off
+    position of each requested count. Calling the plan with an angle in
+    radians makes one ordered pass up to max(counts) and reads the running
+    total off at each count, so every value has the exact bits of
+    naive_trig_sum there. counts may be unsorted and repeat; the result
+    follows their order. A one-term gap is added inline with its multiplier
+    stored as a float, when that is the exact integer (below 2**53); every
+    other gap goes to _add_terms. The plan holds O(len(counts)) values, never
+    one per term, so huge counts cost nothing until a pass runs.
+    """
+
+    __slots__ = ("_steps", "_index")
+
+    def __init__(self, family: Family, counts: Sequence[int]) -> None:
+        if any(count < 1 for count in counts):
+            raise ValueError(f"counts must all be >= 1, got {tuple(counts)}")
+        distinct = sorted(set(counts))
+        position = {count: i for i, count in enumerate(distinct)}
+        self._index = [position[count] for count in counts]
+        self._steps: list[float | range] = []
+        done = 0
+        for count in distinct:
+            multiples = _multiples(family, done, count)
+            inline = count - done == 1 and multiples.start < 2**53
+            self._steps.append(float(multiples.start) if inline else multiples)
+            done = count
+
+    def __call__(self, rad: float) -> list[float]:
+        cos = math.cos
+        total = 0.0
+        totals = []
+        for step in self._steps:
+            if step.__class__ is float:
+                total += cos(step * rad)
+            else:
+                total = _add_terms(total, rad, step)
+            totals.append(total)
+        return list(map(totals.__getitem__, self._index))
+
+
 def naive_running_sums(
     phi: Angle | float, family: Family, counts: Sequence[int]
 ) -> list[float]:
-    """naive_trig_sum at each of counts, from one ordered pass over the terms.
-
-    The running total is read off as the pass reaches each requested count,
-    so every returned value has the exact bits of naive_trig_sum at that
-    count. counts may be unsorted and repeat; the result follows their order.
-    The pass runs up to max(counts) and keeps one float per distinct count.
-    """
-    if any(count < 1 for count in counts):
-        raise ValueError(f"counts must all be >= 1, got {tuple(counts)}")
-    rad = as_angle(phi).radians
-    totals: dict[int, float] = {}
-    total = 0.0
-    done = 0
-    for count in sorted(set(counts)):
-        total = _add_terms(total, rad, _multiples(family, done, count))
-        totals[count] = total
-        done = count
-    return [totals[count] for count in counts]
+    """naive_trig_sum at each of counts, from one ordered pass over the terms
+    (see RunningSumPlan). counts may be unsorted and repeat; the result
+    follows their order."""
+    plan = RunningSumPlan(family, counts)
+    return plan(as_angle(phi).radians)
 
 
 def _guard(den: float, threshold: float, what: str) -> float:

@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from itertools import repeat
+from operator import mul
 from typing import Callable, Sequence
 
 from . import kernels
-from .angle import Angle, as_angle, inclusive_grid
-from .errors import EmptyGrid, SingularDenominator, TrigsumError
+from .angle import Angle, inclusive_grid
+from .errors import EmptyGrid, TrigsumError
 from .formatting import csv_text, json_line
 
 
@@ -97,70 +98,87 @@ class ResidualReport:
         return csv_text("pair,angle,count,residual", ((name, *row) for row in self.rows))
 
 
-# Each pair rule maps (angle, guard, counts) to the residuals at every count.
-# It checks all of the pair's denominators before it evaluates either side and
+# Each pair's entry prepares the pair for a sweep's counts, once, and returns
+# the rule that maps (radians, guard) to the residuals at every count. A rule
+# checks all of the pair's denominators before it evaluates either side and
 # raises TrigsumError when one is below the guard or exactly zero: the sweep
 # then skips the whole angle.
 
-_Rule = Callable[[Angle, float, Sequence[int]], list[float]]
+_Rule = Callable[[float, float], list[float]]
+_Prepare = Callable[[Sequence[int]], _Rule]
 
 
-def _route_pair(first: str, second: str) -> _Rule:
+def _route_pair(first: str, second: str) -> _Prepare:
     """Route first against route second, or against the literal sum of
-    first's family (one ordered pass up to max(counts)) when second is
-    kernels.NAIVE."""
+    first's family (one ordered pass up to max(counts), planned once per
+    sweep) when second is kernels.NAIVE."""
     routes = [kernels.ROUTES[name] for name in (first, second) if name != kernels.NAIVE]
     evaluates = [route.evaluate for route in routes]
 
-    def rule(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
-        rad = angle.radians
-        dens = [route.checked(rad, guard) for route in routes]
-        sides = [[evaluate(rad, den, c) for c in counts] for evaluate, den in zip(evaluates, dens)]
-        if second == kernels.NAIVE:
-            sides.append(kernels.naive_running_sums(angle, routes[0].family, counts))
-        return [a - b for a, b in zip(*sides)]
+    def prepare(counts: Sequence[int]) -> _Rule:
+        plan = kernels.RunningSumPlan(routes[0].family, counts) if second == kernels.NAIVE else None
 
-    return rule
+        def rule(rad: float, guard: float) -> list[float]:
+            dens = [route.checked(rad, guard) for route in routes]
+            sides = [[evaluate(rad, den, c) for c in counts]
+                     for evaluate, den in zip(evaluates, dens)]
+            if plan is not None:
+                sides.append(plan(rad))
+            return [a - b for a, b in zip(*sides)]
+
+        return rule
+
+    return prepare
 
 
-def _projection_vs_closed_form(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
+def _projection_vs_closed_form(counts: Sequence[int]) -> _Rule:
     from . import geometry  # the one pair that walks the construction
 
     # The x-projections of the first 2k+2 segments telescope to the terminal
     # abscissa, whose closed form is the identity's right-hand side. One
     # construction walk, to the largest n, serves every count. The closed
     # side runs first, so a count no float can hold raises before the walk.
-    rad = angle.radians
     terminal = kernels.ROUTES["x_terminal"]
-    den = terminal.checked(rad, guard)
-    kernels._guard(math.cos(rad), guard, "cos(alpha)")
-    rhs = [terminal.evaluate(rad, den, k) for k in counts]
     ns = [2 * k + 2 for k in counts]
-    cfg = geometry.ConstructionConfig(angle, max(ns))
-    lhs = geometry.projection_sums(cfg, geometry.Line.X, ns)
-    return [x - r for x, r in zip(lhs, rhs)]
+    n_max = max(ns)
+
+    def rule(rad: float, guard: float) -> list[float]:
+        den = terminal.checked(rad, guard)
+        kernels._guard(math.cos(rad), guard, "cos(alpha)")
+        rhs = [terminal.evaluate(rad, den, k) for k in counts]
+        cfg = geometry.ConstructionConfig(Angle(rad), n_max)
+        lhs = geometry.projection_sums(cfg, geometry.Line.X, ns)
+        return [x - r for x, r in zip(lhs, rhs)]
+
+    return rule
 
 
-def _decomposition_vs_halfangle(angle: Angle, guard: float, counts: Sequence[int]) -> list[float]:
+def _decomposition_vs_halfangle(counts: Sequence[int]) -> _Rule:
     # even + odd at count k against the full whole-angle form at 2k
-    rad = angle.radians
-    d_even, d_odd, d_whole = [
-        kernels.ROUTES[name].checked(rad, guard) for name in ("even", "odd", "halfangle")
-    ]
+    routes = [kernels.ROUTES[name] for name in ("even", "odd", "halfangle")]
+    # The sine multipliers 2k+1 and 2k, as floats where that is the exact
+    # integer (below 2**53). Either way the product has the bits of the
+    # int's, and a count no float can hold still raises at its angle.
+    odd_mults, even_mults = (
+        [float(m) if m < 2**53 else m for m in mults]
+        for mults in ([2 * k + 1 for k in counts], [2 * k for k in counts])
+    )
     sin = math.sin
-    residuals = []
-    for k in counts:
-        s1 = sin((2 * k + 1) * rad)
-        s2 = sin(2 * k * rad)
+
+    def rule(rad: float, guard: float) -> list[float]:
+        d_even, d_odd, d_whole = [route.checked(rad, guard) for route in routes]
         # ROUTES' even, odd and halfangle (m = 2k) bodies in their operation
         # order; (m + 1)*rad at m = 2k is the even body's (2k + 1)*rad
-        residuals.append(
+        return [
             (0.5 * (s1 / d_even - 1.0) + 0.5 * s2 / d_odd) - 0.5 * ((s1 + s2) / d_whole - 1.0)
-        )
-    return residuals
+            for s1, s2 in zip(map(sin, map(mul, odd_mults, repeat(rad))),
+                              map(sin, map(mul, even_mults, repeat(rad))))
+        ]
+
+    return rule
 
 
-_PAIR_RULES: dict[ResidualPair, _Rule] = {
+_PAIR_RULES: dict[ResidualPair, _Prepare] = {
     ResidualPair.LAGRANGE_VS_NAIVE: _route_pair("lagrange", kernels.NAIVE),
     ResidualPair.HALFANGLE_VS_NAIVE: _route_pair("halfangle", kernels.NAIVE),
     ResidualPair.LAGRANGE_VS_HALFANGLE: _route_pair("lagrange", "halfangle"),
@@ -176,12 +194,19 @@ def residual_sweep(
 ) -> ResidualReport:
     """Evaluate a pair over the grid and aggregate |residual| statistics.
 
-    The pair is evaluated per angle, not per grid point: its denominators
+    The pair is prepared once per sweep for the grid's counts, so every
+    per-count constant is computed once: the running-sum plan of the
+    ...VsNaive pairs (kernels.RunningSumPlan: the distinct counts, one step
+    per gap, the read-off position of each count), the construction's
+    lengths n = 2k + 2 and the sine multipliers 2k+1 and 2k of
+    DecompositionVsHalfangle. Each angle then costs the pair's denominators
     and their guard once, one ordered naive pass up to max(counts) for the
-    oracle pairs, and one construction walk up to n = 2 max(counts) + 2 for
-    the projection pair. DecompositionVsHalfangle costs two sines per count,
-    sin((2k+1) a) and sin(2k a), shared by its three closed forms. Memory
-    per angle is O(len(counts)).
+    oracle pairs, one construction walk up to n = 2 max(counts) + 2 for the
+    projection pair, and two sines per count, sin((2k+1) a) and sin(2k a),
+    shared by DecompositionVsHalfangle's three closed forms. Plan memory is
+    O(len(counts)), and so is memory per angle. The statistics accumulate
+    point by point in grid order, so every report is byte for byte the one
+    a per-point evaluation of the same pair gives.
 
     Per-point rows are kept, in canonical order (angle-major, count-minor),
     only when keep_rows is true; otherwise rows is None at any grid size.
@@ -194,8 +219,10 @@ def residual_sweep(
     should it occur, the whole angle is skipped, also the counts whose
     shorter walks stop before the failing step.
     """
-    rule = _PAIR_RULES[pair]
     counts = grid.counts
+    width = len(counts)
+    rule = _PAIR_RULES[pair](counts)
+    guard = grid.guard
     rows: list[tuple[float, int, float]] | None = [] if keep_rows else None
 
     evaluated = 0
@@ -205,13 +232,14 @@ def residual_sweep(
     argmax_angle = math.nan
     argmax_count = 0
     for rad in grid.angles():
-        angle = Angle(rad)
         try:
-            residuals = rule(angle, grid.guard, counts)
+            residuals = rule(rad, guard)
         except TrigsumError:
-            skipped += len(counts)
+            skipped += width
             continue
-        evaluated += len(counts)
+        evaluated += width
+        # on CPython 3.11 this loop is faster than map(abs), reduce(add) and
+        # max() over the angle's residuals
         for count, residual in zip(counts, residuals):
             magnitude = abs(residual)
             abs_sum += magnitude
@@ -219,8 +247,8 @@ def residual_sweep(
                 max_abs = magnitude
                 argmax_angle = rad
                 argmax_count = count
-            if rows is not None:
-                rows.append((rad, count, residual))
+        if rows is not None:
+            rows.extend(zip(repeat(rad), counts, residuals))
     if evaluated == 0:
         raise EmptyGrid(f"all {skipped} grid points were guarded out")
     return ResidualReport(
@@ -233,43 +261,3 @@ def residual_sweep(
         argmax_count=argmax_count,
         rows=tuple(rows) if rows is not None else None,
     )
-
-
-@dataclass(frozen=True)
-class MethodComparison:
-    """One method's value and signed residual against the literal sum."""
-
-    method: str
-    value: float | None
-    residual: float | None
-    skipped_reason: str | None = None
-
-
-def compare_methods(phi: Angle | float, m: int) -> list[MethodComparison]:
-    """Evaluate every applicable route for the full-family sum at (phi, m).
-
-    Always reports the naive sum and both closed forms; for even m also the
-    even+odd split at k = m/2. Routes whose denominator guard trips are
-    reported as skipped with the reason instead of raising.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    rad = as_angle(phi).radians
-    oracle = kernels.naive_trig_sum(kernels.SumSpec(Angle(rad), m, kernels.Family.FULL))
-    out = [MethodComparison(kernels.NAIVE, oracle, 0.0)]
-
-    routes, threshold = kernels.ROUTES, kernels.DEFAULT_THRESHOLD
-    closed = {name: partial(routes[name], rad, m, threshold) for name in kernels.FULL_FORMS}
-    if m % 2 == 0:
-        k = m // 2
-        closed["decomposition"] = (
-            lambda: routes["even"](rad, k, threshold) + routes["odd"](rad, k, threshold)
-        )
-    for name, fn in closed.items():
-        try:
-            value = fn()
-        except SingularDenominator as exc:
-            out.append(MethodComparison(name, None, None, str(exc)))
-        else:
-            out.append(MethodComparison(name, value, value - oracle))
-    return out

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from trigsum import halfangle_free_sum, lagrange_sum
+from trigsum import Angle, SumSpec, halfangle_free_sum, lagrange_sum, naive_trig_sum
 from trigsum.cli import run
 
 PI_STR = "3.141592653589793"
@@ -426,8 +426,13 @@ HUGE = str(10**400)  # an int too large for a float
      "--steps", "3", "--counts", f"1,{HUGE}"],
     ["verify", "--pair", "ProjectionVsClosedForm", "--angle-min", "0.5", "--angle-max", "1",
      "--steps", "3", "--counts", f"1,{HUGE}"],
+    ["verify", "--pair", "DecompositionVsHalfangle", "--angle-min", "0.5", "--angle-max", "1",
+     "--steps", "3", "--counts", f"1,{HUGE},{HUGE}1"],
+    ["verify", "--pair", "OddVsNaive", "--angle-min", "0.5", "--angle-max", "1",
+     "--steps", "3", "--counts", f"1,{HUGE},{HUGE}1"],
     ["bench", "--m", HUGE, "--repeats", "2"],
-], ids=["auto", "lagrange", "halfangle", "verify", "verify-projection", "bench"])
+], ids=["auto", "lagrange", "halfangle", "verify", "verify-projection", "verify-decomposition",
+        "verify-naive", "bench"])
 def test_count_too_large_for_a_float_exits_with_error(argv):
     # a child process with a timeout, so a route that walks to the count fails, not hangs
     proc = subprocess.run([sys.executable, "-m", "trigsum.cli", *argv],
@@ -435,3 +440,36 @@ def test_count_too_large_for_a_float_exits_with_error(argv):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: int too large to convert to float\n"
+
+
+VERIFY_GRID = ["--angle-min", "0.1", "--angle-max", "1.0", "--steps", "5", "--counts", "1,3"]
+#: Each option that takes a float, given a negative number in exponent form.
+#: argparse alone reads these values as unknown options and exits 2.
+NEGATIVE_EXPONENT_CASES = [
+    (["sum", "--m", "3"], "--phi", "-1e-5"),
+    (["sum", "--m", "3", "--phi", "-2.5E+3"], "--threshold", "-1e-3"),
+    (["construct", "--n", "4"], "--alpha", "-.5e1"),
+    (["verify", "--pair", "LagrangeVsNaive", *VERIFY_GRID[2:]], "--angle-min", "-2.5E+3"),
+    (["verify", "--pair", "LagrangeVsNaive", "--angle-min", "-2e1", *VERIFY_GRID[4:]],
+     "--angle-max", "-1e-1"),
+    (["verify", "--pair", "LagrangeVsNaive", *VERIFY_GRID], "--guard", "-1e-2"),
+    (["orbit", "--n", "3", "--steps", "5", "--format", "csv"], "--alpha-min", "-1e0"),
+    (["orbit", "--n", "3", "--steps", "5", "--format", "csv", "--alpha-min", "-3e0"],
+     "--alpha-max", "-1e-1"),
+]
+
+
+@pytest.mark.parametrize("argv, option, value", NEGATIVE_EXPONENT_CASES,
+                         ids=[option for _, option, _ in NEGATIVE_EXPONENT_CASES])
+def test_negative_exponent_value_reads_as_a_number(capsys, argv, option, value):
+    # "--option value" runs as "--option=value", which argparse never reads as an option
+    spaced = (run([*argv, option, value]), *capsys.readouterr())
+    joined = (run([*argv, f"{option}={value}"]), *capsys.readouterr())
+    assert spaced == joined
+    assert spaced[0] in (0, 1)
+
+
+def test_negative_exponent_angle_sums_at_that_angle(capsys):
+    code, out = run_capture(capsys, ["sum", "--phi", "-1e-5", "--m", "3", "--method", "naive"])
+    assert code == 0
+    assert json.loads(out)["value"] == naive_trig_sum(SumSpec(Angle(-1e-5), 3))

@@ -1,5 +1,6 @@
 """Tests for the closed-form sum kernels, oracles, and the dispatcher."""
 
+import itertools
 import math
 
 import mpmath
@@ -23,6 +24,7 @@ from trigsum import (
     sum_auto,
     x_coordinate_identity,
 )
+from trigsum.kernels import RunningSumPlan
 
 PI = math.pi
 
@@ -89,6 +91,39 @@ def test_naive_running_sums_validation():
         naive_running_sums(1.0, Family.EVEN, (3, 0))
     with pytest.raises(ValueError):
         naive_running_sums(math.nan, Family.FULL, (1,))
+
+
+#: Gaps between consecutive distinct counts: one term (added inline by the
+#: plan), shorter than a run of eight, and at least one run.
+GAP_KINDS = (st.just(1), st.integers(2, 7), st.integers(8, 300))
+
+
+@st.composite
+def plan_counts(draw):
+    """Counts with at least one gap of each kind, shuffled, some repeated."""
+    gaps = [draw(kind) for kind in GAP_KINDS]
+    gaps += draw(st.lists(st.one_of(*GAP_KINDS), max_size=8))
+    counts = list(itertools.accumulate(draw(st.permutations(gaps))))
+    repeats = draw(st.lists(st.sampled_from(counts), max_size=4))
+    return draw(st.permutations(counts + repeats))
+
+
+@given(st.sampled_from(list(Family)), st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+       plan_counts())
+@settings(deadline=None, max_examples=60)
+def test_running_sum_plan_matches_naive_bit_for_bit(family, phi, other, counts):
+    plan = RunningSumPlan(family, counts)
+    for rad in (phi, other):  # one plan serves every angle
+        assert [x.hex() for x in plan(rad)] == [
+            naive_trig_sum(spec(rad, c, family)).hex() for c in counts
+        ]
+
+
+def test_running_sum_plan_holds_one_step_per_distinct_count():
+    # no multiplier table: a count no loop could reach costs one range
+    counts = (10**400 + 1, 3, 10**400, 4, 3)
+    plan = RunningSumPlan(Family.ODD, counts)
+    assert len(plan._steps) == len(set(counts))
 
 
 def test_family_index_ranges():

@@ -1,9 +1,9 @@
 """The route table against the public kernels, the CLI and the parent's values.
 
 Every closed form divides by one sine, recorded once in kernels.ROUTES. These
-tests check that the public kernels, sum_auto, compare_methods and the CLI
-all follow that table, and pin the values sum_auto and compare_methods give
-at regular angles, at pi and at both parities of the count.
+tests check that the public kernels, sum_auto and the CLI all follow that
+table, and pin the values sum_auto gives at regular angles, at pi and at both
+parities of the count.
 """
 
 import io
@@ -19,7 +19,6 @@ from trigsum import (
     Family,
     SingularDenominator,
     SumSpec,
-    compare_methods,
     even_index_sum,
     halfangle_free_sum,
     lagrange_sum,
@@ -157,16 +156,6 @@ SUM_AUTO = [
     (1e-05, 8, 'odd', 'halfangle', 7.999999966, 'NaiveFallback', 9.999999999833334e-06),
     (1e-05, 8, 'odd', 'lagrange', 7.999999966, 'NaiveFallback', 9.999999999833334e-06),
 ]
-COMPARE = [
-    (1.0, 7, [('naive', 0.47825407831383693, 0.0, None), ('lagrange', 0.47825407831383693, 0.0, None), ('halfangle', 0.47825407831383693, 0.0, None)]),
-    (1.0, 8, [('naive', 0.3327540445052234, 0.0, None), ('lagrange', 0.3327540445052233, -1.1102230246251565e-16, None), ('halfangle', 0.3327540445052234, 0.0, None), ('decomposition', 0.3327540445052234, 0.0, None)]),
-    (3.141592653589793, 7, [('naive', -1.0, 0.0, None), ('lagrange', -1.0, 0.0, None), ('halfangle', None, None, '|sin(phi)| = 1.225e-16 is below threshold 1.000e-04')]),
-    (3.141592653589793, 8, [('naive', 0.0, 0.0, None), ('lagrange', 0.0, 0.0, None), ('halfangle', None, None, '|sin(phi)| = 1.225e-16 is below threshold 1.000e-04'), ('decomposition', None, None, '|sin(alpha)| = 1.225e-16 is below threshold 1.000e-04')]),
-    (2.5, 7, [('naive', -0.5523673117939154, 0.0, None), ('lagrange', -0.5523673117939154, 0.0, None), ('halfangle', -0.5523673117939154, 0.0, None)]),
-    (2.5, 8, [('naive', -0.14428524998052344, 0.0, None), ('lagrange', -0.1442852499805234, 5.551115123125783e-17, None), ('halfangle', -0.1442852499805234, 5.551115123125783e-17, None), ('decomposition', -0.1442852499805234, 5.551115123125783e-17, None)]),
-    (0.0, 7, [('naive', 7.0, 0.0, None), ('lagrange', None, None, '|sin(phi/2)| = 0.000e+00 is below threshold 1.000e-04'), ('halfangle', None, None, '|sin(phi)| = 0.000e+00 is below threshold 1.000e-04')]),
-    (0.0, 8, [('naive', 8.0, 0.0, None), ('lagrange', None, None, '|sin(phi/2)| = 0.000e+00 is below threshold 1.000e-04'), ('halfangle', None, None, '|sin(phi)| = 0.000e+00 is below threshold 1.000e-04'), ('decomposition', None, None, '|sin(alpha)| = 0.000e+00 is below threshold 1.000e-04')]),
-]
 
 
 @pytest.mark.parametrize("phi, m, family, form, value, method, proximity", SUM_AUTO)
@@ -175,11 +164,3 @@ def test_sum_auto_pinned(phi, m, family, form, value, method, proximity):
     assert (result.value, result.method.value, result.singular_proximity) == (
         value, method, proximity
     )
-
-
-@pytest.mark.parametrize("phi, m, expected", COMPARE)
-def test_compare_methods_pinned(phi, m, expected):
-    got = [
-        (c.method, c.value, c.residual, c.skipped_reason) for c in compare_methods(phi, m)
-    ]
-    assert got == expected

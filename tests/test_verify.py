@@ -1,8 +1,7 @@
-"""Tests for residual sweeps, their reports, and the method comparison."""
+"""Tests for residual sweeps and their reports."""
 
 import json
 import math
-import sys
 
 import pytest
 
@@ -18,7 +17,6 @@ from trigsum import (
     ResidualReport,
     SumSpec,
     TrigsumError,
-    compare_methods,
     construct_points,
     even_index_sum,
     halfangle_free_sum,
@@ -127,6 +125,15 @@ def test_empty_grid():
         )
 
 
+def test_guarded_out_grid_with_counts_no_float_holds_is_empty():
+    # per-count constants are prepared once per sweep; a count too large for
+    # a float still fails only at an angle that is evaluated
+    grid = GridSpec(-0.01, 0.01, 5, (10**400, 10**400 + 1, 2), guard=0.5)
+    for pair in ResidualPair:
+        with pytest.raises(EmptyGrid):
+            residual_sweep(grid, pair)
+
+
 def test_monotone_guard():
     maxima = [
         residual_sweep(small_grid(guard=g), ResidualPair.HALFANGLE_VS_NAIVE).max_abs_residual
@@ -206,35 +213,6 @@ def test_argmax_is_reported_point():
     assert max(located) == report.max_abs_residual
 
 
-def test_compare_methods_regular_angle():
-    rows = compare_methods(math.pi / 2, 4)
-    names = [row.method for row in rows]
-    assert names == ["naive", "lagrange", "halfangle", "decomposition"]
-    for row in rows:
-        assert row.skipped_reason is None
-        assert abs(row.value) <= 1e-12
-        assert abs(row.residual) <= 1e-12
-
-
-def test_compare_methods_at_pi():
-    rows = {row.method: row for row in compare_methods(math.pi, 3)}
-    assert set(rows) == {"naive", "lagrange", "halfangle"}
-    assert rows["naive"].value == pytest.approx(-1.0, abs=1e-12)
-    assert rows["lagrange"].value == pytest.approx(-1.0, abs=1e-12)
-    assert rows["halfangle"].value is None
-    assert "sin(phi)" in rows["halfangle"].skipped_reason
-
-
-def test_compare_methods_decomposition_accuracy():
-    rows = {row.method: row for row in compare_methods(0.5, 6)}
-    assert abs(rows["decomposition"].residual) <= 1e-10
-
-
-def test_compare_methods_validation():
-    with pytest.raises(ValueError):
-        compare_methods(1.0, 0)
-
-
 # -- per-point reference ---------------------------------------------------
 # The sweep evaluates each angle once for all counts. These are the per-point
 # definitions it replaced, built on the public kernels and the construction;
@@ -312,6 +290,12 @@ def reference_sweep(grid, pair):
 
 IDENTITY_GRIDS = {
     "unsorted-duplicated-counts": GridSpec(0.05, TWO_PI - 0.05, 61, (7, 3, 3, 1, 40, 7, 2)),
+    # the criterion-1 counts: 64 one-term gaps, then gaps of 36 and 900 terms
+    "dense-counts": GridSpec(0.05, TWO_PI - 0.05, 21, (*range(1, 65), 100, 1000)),
+    "sparse-unsorted-repeated-counts": GridSpec(-4.0, 9.0, 41, (5, 1000, 17, 17)),
+    "single-count": GridSpec(0.05, TWO_PI - 0.05, 41, (12,)),
+    # whole angles guarded out near every multiple of pi/2, for every pair
+    "guarded-out-angles": GridSpec(0.0, 4 * math.pi, 49, (3, 1, 8), guard=0.3),
     # 0.0 divides by an exact zero and pi by sin(pi) = 1.2e-16
     "guard-zero-0-to-pi": GridSpec(0.0, math.pi, 9, (3, 1, 4), guard=0.0),
     "negative-multi-turn": GridSpec(-20.0, 13.7, 151, (1, 2, 9, 40, 2)),
@@ -340,6 +324,13 @@ def test_sweep_is_byte_identical_to_per_point_reference(name):
         assert report.to_csv() == expected.to_csv(), pair
 
 
+def test_guarded_identity_grid_skips_and_keeps_angles_for_every_pair():
+    grid = IDENTITY_GRIDS["guarded-out-angles"]
+    for pair in ResidualPair:
+        report = residual_sweep(grid, pair)
+        assert report.skipped > 0 and report.evaluated > 0, pair
+
+
 def test_projection_sweep_with_tangency_snaps_is_byte_identical():
     # the 500-angle projection grid: its tangency snaps leave residuals ~1e-5
     grid = GridSpec(0.05, TWO_PI - 0.05, 500, (1, 10, 50, 100, 249))
@@ -350,22 +341,23 @@ def test_projection_sweep_with_tangency_snaps_is_byte_identical():
     assert report.to_csv() == expected.to_csv()
 
 
-def test_decomposition_sweep_makes_two_sines_per_count():
-    # counted as C calls of math.sin, however the sweep binds it
+def test_decomposition_sweep_makes_two_sines_per_count(monkeypatch):
+    # Counted through math.sin as the sweep looks it up when it prepares the
+    # pair; its calls run inside map(), where a profile hook sees no C call.
+    # The guarded denominators are route fields, bound when kernels loads.
     grid = GridSpec(0.05, 3.0, 40, (1, 7, 7, 300, 2))
     calls = 0
+    sin = math.sin
 
-    def profile(frame, event, arg):
+    def counted(x):
         nonlocal calls
-        if event == "c_call" and arg is math.sin:
-            calls += 1
+        calls += 1
+        return sin(x)
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        report = residual_sweep(grid, ResidualPair.DECOMPOSITION_VS_HALFANGLE)
-    finally:
-        sys.setprofile(previous)
+    expected = residual_sweep(grid, ResidualPair.DECOMPOSITION_VS_HALFANGLE)
+    monkeypatch.setattr(math, "sin", counted)
+    report = residual_sweep(grid, ResidualPair.DECOMPOSITION_VS_HALFANGLE)
     assert report.skipped == 0
-    # three guarded denominators per angle, then sin((2k+1)a) and sin(2ka)
-    assert 0 < calls <= (2 * len(grid.counts) + 3) * grid.steps
+    assert report == expected
+    # sin((2k+1)a) and sin(2ka) per grid point, shared by the three forms
+    assert calls == 2 * len(grid.counts) * grid.steps

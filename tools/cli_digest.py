@@ -81,7 +81,7 @@ def vectors() -> list[list[str]]:
         lagrange + _grid("0.1", "1.0", steps="1"),
         lagrange + _grid("nan", "1.0"),
         lagrange + _grid("0.1", "inf"),
-        lagrange + _grid("-1e308", "1e308", steps="3"),  # argparse reads -1e308 as an option
+        lagrange + _grid("-1e308", "1e308", steps="3"),  # a negative number in exponent form
         lagrange + ["--angle-min=-1e308", "--angle-max", "1e308", "--steps", "3",
                     "--counts", "1,2"],
         lagrange + _grid("0.1", "1.0", counts="10" * 200),
@@ -89,6 +89,19 @@ def vectors() -> list[list[str]]:
         ["verify", "--pair", "NoSuchPair", *_grid("0.1", "1.0")],
     ]
     out += [lagrange + _grid("0.1", "1.0", counts=counts) for counts in ("", ",", "0", "1,x", "-1")]
+
+    # negative numbers in exponent form, for every option that takes a float
+    out += [
+        ["sum", "--phi", "-1e-5", "--m", "3"],
+        ["sum", "--phi", "-2.5E+3", "--m", "7", "--method", "lagrange"],
+        ["sum", "--phi", "-.5e1", "--m", "4", "--method", "naive"],
+        ["sum", "--phi", "1.0", "--m", "3", "--threshold", "-1e-3"],
+        ["construct", "--alpha", "-.5e1", "--n", "6"],
+        lagrange + _grid("-2.5E+1", "-1e-1"),
+        lagrange + _grid("0.1", "1.0") + ["--guard", "-1e-2"],
+        ["orbit", "--n", "3", "--alpha-min", "-1e0", "--alpha-max", "-1e-1", "--steps", "9",
+         "--format", "csv"],
+    ]
 
     # orbit
     for n in ("1", "3", "5"):
