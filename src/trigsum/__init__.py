@@ -20,7 +20,7 @@ _EXPORTS = {
     "errors": ("TrigsumError", "ExcludedAngle", "SingularAngle", "SingularDenominator",
                "ConstructionImpossible", "CountOutOfRange", "DegreeTooLarge", "BadRange",
                "EmptyGrid"),
-    "geometry": ("EPSILON_EXCLUDE", "TOL_TANGENT", "Line", "Point2", "PlacedPoint", "PointSeq",
+    "geometry": ("EPSILON_EXCLUDE", "TOL_TANGENT", "Line", "Point2", "PointSeq",
                  "ConstructionConfig", "construct_points", "closed_form_point",
                  "chebyshev_form_point", "line_coordinates", "line_for_index",
                  "projection_sum", "projection_sums", "segment_direction_angles"),

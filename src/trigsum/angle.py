@@ -70,19 +70,17 @@ def as_angle(value: Angle | float) -> Angle:
     return Angle(float(value))
 
 
-def inclusive_grid(
-    lo: float, hi: float, steps: int, name: str, *, nonfinite: type[Exception] = BadRange
-) -> Iterator[float]:
+def inclusive_grid(lo: float, hi: float, steps: int, name: str) -> Iterator[float]:
     """Validate a uniform endpoint-inclusive grid and return its angles.
 
-    The bounds must be finite (else nonfinite is raised), ordered, and span
-    a finite width; steps must be at least 2. Validation runs on the call;
+    The bounds must be finite, ordered, and span a finite width, and steps
+    must be at least 2; else BadRange is raised. Validation runs on the call;
     the steps angles lo + (hi - lo) * i / (steps - 1) are then yielded in
     increasing order, from the bounds coerced to float. name ("angle",
     "alpha") prefixes the messages.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise nonfinite(f"{name} bounds must be finite")
+        raise BadRange(f"{name} bounds must be finite")
     if not lo < hi:
         raise BadRange(f"{name}_min must be < {name}_max, got [{lo}, {hi}]")
     if steps < 2:

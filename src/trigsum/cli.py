@@ -17,35 +17,22 @@ import sys
 from .errors import TrigsumError
 from .formatting import json_line
 
-#: The library names each subcommand reads from this module, by subcommand and
-#: defining module. A subcommand's parser binds them here when it is invoked
-#: (`_load`), so a process imports only what its subcommand runs. A name
-#: already bound, such as a wrapper patched onto this module, is kept, and the
-#: handlers call whatever is bound at call time.
-_LIBRARY = {
-    "construct": {"angle": ("Angle",),
-                  "geometry": ("ConstructionConfig", "Line", "construct_points")},
-    "sum": {"angle": ("Angle",),
-            "kernels": ("DEFAULT_FULL_FORM", "DEFAULT_THRESHOLD", "FULL_FORMS", "NAIVE", "ROUTES",
-                        "SumSpec", "halfangle_free_sum", "lagrange_sum", "naive_trig_sum",
-                        "sum_auto")},
-    "verify": {"verify": ("GridSpec", "ResidualPair", "residual_sweep")},
-    "orbit": {"orbit": ("TWO_PI", "EmitFormat", "emit", "orbit_samples")},
-    "bench": {"bench": ("measure",)},
-}
-
 
 def _load(command: str) -> None:
+    """Bind the library names of command into this module. A name already
+    bound, such as a wrapper patched onto this module, is kept."""
     namespace = globals()
-    for module, names in _LIBRARY[command].items():
+    for module, names in _SUBCOMMANDS[command][1].items():
         # __import__, unlike importlib.import_module, shows in `python -X importtime`
         source = getattr(__import__(f"{__package__}.{module}"), module)
         for name in names:
             namespace.setdefault(name, getattr(source, name))
 
 
-#: A negative decimal number, with an optional exponent: -5, -2.5, -.5e1, -1e-5.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+#: A negative number as float() reads it: a decimal with an optional exponent
+#: (-5, -2.5, -.5e1, -1e-5), or -inf, -infinity or -nan in any case.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$",
+                              re.IGNORECASE)
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -60,13 +47,13 @@ class _SubcommandParser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._pending = command
         # argparse takes only -2 and -2.5 forms for negative numbers, and
-        # -1e-5 for an unknown option; this also admits exponent forms
+        # -1e-5 or -inf for an unknown option; this also admits those
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def parse_known_args(self, args=None, namespace=None):
         if self._pending is not None:
             _load(self._pending)
-            _SUBCOMMANDS[self._pending][1](self)
+            _SUBCOMMANDS[self._pending][2](self)
             self.add_argument("--out", metavar="PATH",
                               help="write output to PATH instead of stdout")
             self._pending = None
@@ -89,12 +76,24 @@ def _sum_arguments(p: argparse.ArgumentParser) -> None:
                    help=f"singularity threshold (default {DEFAULT_THRESHOLD:g})")
 
 
+def _counts(text: str) -> tuple[int, ...]:
+    """The --counts value: comma-separated integers, each at least 1."""
+    try:
+        counts = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if any(c < 1 for c in counts):
+        raise argparse.ArgumentTypeError(f"entries must be >= 1, got {text!r}")
+    return counts
+
+
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair", choices=[pair.value for pair in ResidualPair], required=True)
     p.add_argument("--angle-min", type=float, required=True)
     p.add_argument("--angle-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--counts", required=True, help="comma-separated term counts")
+    p.add_argument("--counts", type=_counts, required=True, help="comma-separated term counts")
     p.add_argument("--guard", type=float, default=GridSpec.guard,
                    help=f"minimum denominator magnitude (default {GridSpec.guard:g})")
     p.add_argument("--rows", action="store_true",
@@ -121,19 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "and the two-line unit-segment construction behind them.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+    for name, (help_text, *_) in _SUBCOMMANDS.items():
         sub.add_parser(name, help=help_text, command=name)
     return parser
-
-
-def _parse_counts(parser: argparse.ArgumentParser, text: str) -> tuple[int, ...]:
-    try:
-        counts = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        parser.error(f"--counts expects comma-separated integers, got {text!r}")
-    if any(c < 1 for c in counts):
-        parser.error(f"--counts entries must be >= 1, got {text!r}")
-    return counts
 
 
 def _run_construct(args: argparse.Namespace) -> str:
@@ -158,7 +147,7 @@ def _run_sum(args: argparse.Namespace) -> str:
 
 
 def _run_verify(args: argparse.Namespace) -> str:
-    grid = GridSpec(args.angle_min, args.angle_max, args.steps, args.counts_list, args.guard)
+    grid = GridSpec(args.angle_min, args.angle_max, args.steps, args.counts, args.guard)
     report = residual_sweep(grid, ResidualPair(args.pair), keep_rows=args.rows)
     return report.to_csv() if args.rows else report.to_json()
 
@@ -172,14 +161,31 @@ def _run_bench(args: argparse.Namespace) -> str:
     return measure(args.m, args.repeats).to_json()
 
 
-#: Each subcommand's help line, the function adding its arguments, and its handler.
+#: Each subcommand's help line, the library names its argument builder and
+#: handler read (by defining module), the function adding its arguments, and
+#: its handler. Its parser binds the names into this module when it is invoked
+#: (`_load`), so a process imports only what its subcommand runs; the handlers
+#: call whatever is bound at call time.
 _SUBCOMMANDS = {
-    "construct": ("simulate the two-line point construction", _construct_arguments,
-                  _run_construct),
-    "sum": ("evaluate a full-family cosine partial sum", _sum_arguments, _run_sum),
-    "verify": ("sweep a residual pair over an angle grid", _verify_arguments, _run_verify),
-    "orbit": ("sample the orbit curve of a construction point", _orbit_arguments, _run_orbit),
-    "bench": ("time the naive sum against the closed form", _bench_arguments, _run_bench),
+    "construct": ("simulate the two-line point construction",
+                  {"angle": ("Angle",),
+                   "geometry": ("ConstructionConfig", "Line", "construct_points")},
+                  _construct_arguments, _run_construct),
+    "sum": ("evaluate a full-family cosine partial sum",
+            {"angle": ("Angle",),
+             "kernels": ("DEFAULT_FULL_FORM", "DEFAULT_THRESHOLD", "FULL_FORMS", "NAIVE",
+                         "ROUTES", "SumSpec", "halfangle_free_sum", "lagrange_sum",
+                         "naive_trig_sum", "sum_auto")},
+            _sum_arguments, _run_sum),
+    "verify": ("sweep a residual pair over an angle grid",
+               {"verify": ("GridSpec", "ResidualPair", "residual_sweep")},
+               _verify_arguments, _run_verify),
+    "orbit": ("sample the orbit curve of a construction point",
+              {"orbit": ("TWO_PI", "EmitFormat", "emit", "orbit_samples")},
+              _orbit_arguments, _run_orbit),
+    "bench": ("time the naive sum against the closed form",
+              {"bench": ("measure",)},
+              _bench_arguments, _run_bench),
 }
 
 
@@ -206,13 +212,11 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify":
-            args.counts_list = _parse_counts(parser, args.counts)
     except SystemExit as exc:
         return exc.code
 
     try:
-        payload = _SUBCOMMANDS[args.command][2](args)
+        payload = _SUBCOMMANDS[args.command][3](args)
     except (TrigsumError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

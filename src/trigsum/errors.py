@@ -33,7 +33,7 @@ class DegreeTooLarge(TrigsumError):
     """Polynomial degree above the configured maximum."""
 
 
-class BadRange(TrigsumError):
+class BadRange(TrigsumError, ValueError):
     """Invalid sampling range."""
 
 

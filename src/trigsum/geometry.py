@@ -56,17 +56,6 @@ class Point2(Record):
         object.__setattr__(self, "y", y)
 
 
-class PlacedPoint(Record):
-    """One construction point together with the line it lies on."""
-
-    __slots__ = ("index", "line", "point")
-
-    def __init__(self, index: int, line: Line, point: Point2) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "point", point)
-
-
 class ConstructionConfig(Record):
     """Inputs of a construction run; n is the number of points beyond A_0."""
 
@@ -82,13 +71,14 @@ class ConstructionConfig(Record):
 class PointSeq(Record):
     """An ordered construction run A_0 .. A_n.
 
+    points[l] is A_l; it lies on line_for_index(l, start_line).
     tangency_events lists the step indices where the step circle was tangent
     to the target line, forcing A_l = A_{l-2} despite the exclusion rule.
     """
 
     __slots__ = ("alpha", "start_line", "points", "tangency_events")
 
-    def __init__(self, alpha: Angle, start_line: Line, points: tuple[PlacedPoint, ...],
+    def __init__(self, alpha: Angle, start_line: Line, points: tuple[Point2, ...],
                  tangency_events: tuple[int, ...]) -> None:
         self._set(alpha, start_line, points, tangency_events)
 
@@ -96,11 +86,9 @@ class PointSeq(Record):
     def segment_count(self) -> int:
         return len(self.points) - 1
 
-    def point_at(self, index: int) -> Point2:
-        return self.points[index].point
-
     def _rows(self) -> Iterator[tuple[int, str, float, float]]:
-        return ((p.index, p.line.value, p.point.x, p.point.y) for p in self.points)
+        lines = [line_for_index(parity, self.start_line).value for parity in (0, 1)]
+        return ((index, lines[index % 2], p.x, p.y) for index, p in enumerate(self.points))
 
     def to_csv(self) -> str:
         """Serialize as CSV rows index,line,x,y ordered by index."""
@@ -211,8 +199,7 @@ def construct_points(cfg: ConstructionConfig) -> PointSeq:
         if tangent:
             tangencies.append(index)
         dx, dy = directions[index % 2]
-        line = line_for_index(index, cfg.start_line)
-        points.append(PlacedPoint(index, line, Point2(t * dx, t * dy)))
+        points.append(Point2(t * dx, t * dy))
     return PointSeq(cfg.alpha, cfg.start_line, tuple(points), tuple(tangencies))
 
 
@@ -263,8 +250,8 @@ def projection_sum(seq: PointSeq, target: Line, count: int) -> float:
     total = 0.0
     pts = seq.points
     for l in range(1, count + 1):
-        sx = pts[l].point.x - pts[l - 1].point.x
-        sy = pts[l].point.y - pts[l - 1].point.y
+        sx = pts[l].x - pts[l - 1].x
+        sy = pts[l].y - pts[l - 1].y
         total += sx * dx + sy * dy
     return total
 
@@ -307,7 +294,7 @@ def segment_direction_angles(seq: PointSeq) -> list[float]:
     """
     out = []
     for prev, cur in zip(seq.points, seq.points[1:]):
-        ang = math.atan2(cur.point.y - prev.point.y, cur.point.x - prev.point.x) % _TWO_PI
+        ang = math.atan2(cur.y - prev.y, cur.x - prev.x) % _TWO_PI
         # a tiny negative atan2 rounds up to 2 pi here, the direction of 0
         out.append(0.0 if ang == _TWO_PI else ang)
     return out

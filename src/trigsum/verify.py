@@ -52,7 +52,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(self.counts))
-        inclusive_grid(self.angle_min, self.angle_max, self.steps, "angle", nonfinite=ValueError)
+        inclusive_grid(self.angle_min, self.angle_max, self.steps, "angle")
         if not self.counts:
             raise ValueError("counts must be non-empty")
         if any(c < 1 for c in self.counts):

@@ -108,11 +108,11 @@ def test_05_geometry_suite(capsys):
         cos_a, sin_a = math.cos(a), math.sin(a)
         cot = cos_a / sin_a
         for prev, cur in zip(pts, pts[1:]):
-            d = math.hypot(cur.point.x - prev.point.x, cur.point.y - prev.point.y)
+            d = math.hypot(cur.x - prev.x, cur.y - prev.y)
             worst_unit = max(worst_unit, abs(d - 1.0))
         useq = u_sequence(n - 1, cos_a)
         for l in range(2, n + 1, 2):
-            px, py = pts[l].point.x, pts[l].point.y
+            px, py = pts[l].x, pts[l].y
             u = useq[l - 1]
             s = math.sin(l * a)
             worst_form = max(
@@ -122,7 +122,7 @@ def test_05_geometry_suite(capsys):
             )
         for c in (1, 2, 3, 5, 10, 100, 999, 1000):
             lhs = projection_sum(seq, Line.X, c)
-            worst_proj_x = max(worst_proj_x, abs(lhs - pts[c].point.x))
+            worst_proj_x = max(worst_proj_x, abs(lhs - pts[c].x))
         for c in (1, 3, 5, 21, 201, 999):
             lhs = projection_sum(seq, Line.E, c)
             worst_proj_e = max(worst_proj_e, abs(lhs - cot * math.sin(c * a)))

@@ -393,7 +393,10 @@ USAGE_ERROR_CASES = [
      VERIFY_USAGE + "trigsum verify: error: argument --pair: invalid choice: 'NoSuchPair' "
      "(choose from " + ", ".join(f"'{p}'" for p in PAIRS.split(",")) + ")\n"),
     (["verify", "--pair", "EvenVsNaive", *VERIFY_ARGS, "--counts", "2,x"],
-     TOP_USAGE + "trigsum: error: --counts expects comma-separated integers, got '2,x'\n"),
+     VERIFY_USAGE + "trigsum verify: error: argument --counts: "
+     "expected comma-separated integers, got '2,x'\n"),
+    (["verify", "--pair", "EvenVsNaive", *VERIFY_ARGS, "--counts", "0"],
+     VERIFY_USAGE + "trigsum verify: error: argument --counts: entries must be >= 1, got '0'\n"),
 ]
 
 
@@ -467,6 +470,43 @@ def test_negative_exponent_value_reads_as_a_number(capsys, argv, option, value):
     joined = (run([*argv, f"{option}={value}"]), *capsys.readouterr())
     assert spaced == joined
     assert spaced[0] in (0, 1)
+
+
+#: Each option that takes a float, given -inf, -infinity or -nan in some case.
+#: argparse alone reads these values as unknown options and exits 2; as values
+#: the library rejects them, each with its own message.
+NEGATIVE_NONFINITE_CASES = [
+    (["sum", "--m", "3"], "--phi", "-inf", "angle must be finite, got -inf"),
+    (["sum", "--m", "3"], "--phi", "-NaN", "angle must be finite, got nan"),
+    (["sum", "--m", "3", "--phi", "1.0"], "--threshold", "-Infinity",
+     "threshold must be > 0, got -inf"),
+    (["construct", "--n", "4"], "--alpha", "-INF", "angle must be finite, got -inf"),
+    (["verify", "--pair", "LagrangeVsNaive", *VERIFY_GRID[2:]], "--angle-min", "-inf",
+     "angle bounds must be finite"),
+    (["verify", "--pair", "LagrangeVsNaive", "--angle-min", "0.1", *VERIFY_GRID[4:]],
+     "--angle-max", "-nan", "angle bounds must be finite"),
+    (["verify", "--pair", "LagrangeVsNaive", *VERIFY_GRID], "--guard", "-inf",
+     "guard must be finite and >= 0, got -inf"),
+    (["orbit", "--n", "3", "--format", "csv"], "--alpha-min", "-nan",
+     "alpha bounds must be finite"),
+    (["orbit", "--n", "3", "--format", "csv"], "--alpha-max", "-Inf",
+     "alpha bounds must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv, option, value, message", NEGATIVE_NONFINITE_CASES,
+                         ids=[f"{option} {value}" for _, option, value, _ in
+                              NEGATIVE_NONFINITE_CASES])
+def test_negative_nonfinite_value_reads_as_a_number(capsys, argv, option, value, message):
+    for args in ([*argv, option, value], [*argv, f"{option}={value}"]):
+        assert run(args) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["-in", "-infinit", "-nanx", "-inf1"])
+def test_other_dash_words_stay_options(capsys, value):
+    assert run(["sum", "--m", "3", "--phi", value]) == 2
+    assert capsys.readouterr().err.endswith("argument --phi: expected one argument\n")
 
 
 def test_negative_exponent_angle_sums_at_that_angle(capsys):

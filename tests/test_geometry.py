@@ -34,7 +34,7 @@ def build(alpha, n, start=Line.X):
 
 
 def coords(seq):
-    return [(p.point.x, p.point.y) for p in seq.points]
+    return [(p.x, p.y) for p in seq.points]
 
 
 def circular_diff(a, b):
@@ -58,7 +58,8 @@ def test_pi_over_3_walk():
         assert x == pytest.approx(ex, abs=1e-12)
         assert y == pytest.approx(ey, abs=1e-12)
     assert seq.tangency_events == ()
-    assert [p.line for p in seq.points] == [Line.E, Line.X, Line.E, Line.X, Line.E]
+    assert [line_for_index(i, seq.start_line) for i in range(5)] == [
+        Line.E, Line.X, Line.E, Line.X, Line.E]
 
 
 def test_pi_over_4_tangency():
@@ -66,10 +67,10 @@ def test_pi_over_4_tangency():
     # is tangent to line x and the walk is forced back onto A1
     seq = build(math.pi / 4, 3)
     assert seq.tangency_events == (3,)
-    a2 = seq.point_at(2)
+    a2 = seq.points[2]
     assert a2.x == pytest.approx(1.0, abs=1e-12)
     assert a2.y == pytest.approx(1.0, abs=1e-12)
-    a1, a3 = seq.point_at(1), seq.point_at(3)
+    a1, a3 = seq.points[1], seq.points[3]
     assert math.hypot(a3.x - a1.x, a3.y - a1.y) <= 1e-12
 
 
@@ -82,10 +83,10 @@ def test_excluded_angles(alpha):
 def test_start_line_e():
     alpha = 0.8
     seq = build(alpha, 2, start=Line.E)
-    a1 = seq.point_at(1)
+    a1 = seq.points[1]
     assert a1.x == pytest.approx(math.cos(alpha), abs=1e-15)
     assert a1.y == pytest.approx(math.sin(alpha), abs=1e-15)
-    assert [p.line for p in seq.points] == [Line.X, Line.E, Line.X]
+    assert [line_for_index(i, seq.start_line) for i in range(3)] == [Line.X, Line.E, Line.X]
 
 
 def test_line_for_index_parity():
@@ -109,15 +110,15 @@ def test_unit_segments_and_line_membership(alpha):
     sin_a, cos_a = math.sin(alpha), math.cos(alpha)
     prev = seq.points[0]
     for cur in seq.points[1:]:
-        dx = cur.point.x - prev.point.x
-        dy = cur.point.y - prev.point.y
+        dx = cur.x - prev.x
+        dy = cur.y - prev.y
         assert abs(math.hypot(dx, dy) - 1.0) <= 1e-10
         prev = cur
-    for p in seq.points:
-        if p.line is Line.X:
-            assert abs(p.point.y) <= 1e-10
+    for i, p in enumerate(seq.points):
+        if line_for_index(i, seq.start_line) is Line.X:
+            assert abs(p.y) <= 1e-10
         else:
-            assert abs(cos_a * p.point.y - sin_a * p.point.x) <= 1e-10
+            assert abs(cos_a * p.y - sin_a * p.x) <= 1e-10
 
 
 def test_closed_form_examples():
@@ -157,7 +158,7 @@ def test_chebyshev_form_examples():
 def test_construction_matches_both_closed_forms(alpha):
     seq = build(alpha, 60)
     for n in range(2, 61, 2):
-        built = seq.point_at(n)
+        built = seq.points[n]
         trig = closed_form_point(alpha, n)
         poly = chebyshev_form_point(alpha, n)
         assert built.x == pytest.approx(trig.x, abs=1e-9)
@@ -181,7 +182,7 @@ def test_projection_onto_x_telescopes():
     assert projection_sum(seq, Line.X, 1) == 1.0
     for count in range(1, 5):
         assert projection_sum(seq, Line.X, count) == pytest.approx(
-            seq.point_at(count).x, abs=1e-10
+            seq.points[count].x, abs=1e-10
         )
 
 
@@ -216,10 +217,10 @@ def test_line_coordinates_reproduce_construction(alpha, start):
     assert len(walk) == len(seq.points)
     assert tuple(i for i, (_, tangent) in enumerate(walk) if tangent) == seq.tangency_events
     cos_a, sin_a = math.cos(alpha), math.sin(alpha)
-    for (t, _), p in zip(walk, seq.points):
-        dx, dy = (1.0, 0.0) if p.line is Line.X else (cos_a, sin_a)
-        assert (t * dx).hex() == p.point.x.hex()
-        assert (t * dy).hex() == p.point.y.hex()
+    for i, ((t, _), p) in enumerate(zip(walk, seq.points)):
+        dx, dy = (1.0, 0.0) if line_for_index(i, start) is Line.X else (cos_a, sin_a)
+        assert (t * dx).hex() == p.x.hex()
+        assert (t * dy).hex() == p.y.hex()
 
 
 def test_line_coordinates_reject_before_walking():
@@ -290,8 +291,8 @@ def test_csv_serialization():
     assert text.endswith("\n")
     index, line, x, y = lines[3].split(",")
     assert (index, line) == ("2", "e")
-    assert float(x) == seq.point_at(2).x
-    assert float(y) == seq.point_at(2).y
+    assert float(x) == seq.points[2].x
+    assert float(y) == seq.points[2].y
     # serialization is a pure function of the sequence
     assert seq.to_csv() == text
 

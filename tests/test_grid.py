@@ -40,11 +40,6 @@ def test_bounds_must_be_finite_and_span_finite(lo, hi):
         inclusive_grid(lo, hi, 3, "angle")
 
 
-def test_nonfinite_error_type_is_the_callers():
-    with pytest.raises(ValueError, match="angle bounds must be finite"):
-        inclusive_grid(math.nan, 1.0, 3, "angle", nonfinite=ValueError)
-
-
 def test_gridspec_keeps_its_exception_types():
     with pytest.raises(ValueError):
         GridSpec(math.nan, 1.0, 10, (1,))

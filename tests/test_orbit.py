@@ -73,8 +73,8 @@ def test_agreement_with_construction():
     curve = orbit_samples(n, alpha, alpha + 1.0, 2)
     seq = construct_points(ConstructionConfig(Angle(alpha), n))
     _, x, y = curve.samples[0]
-    assert x == pytest.approx(seq.point_at(n).x, abs=1e-9)
-    assert y == pytest.approx(seq.point_at(n).y, abs=1e-9)
+    assert x == pytest.approx(seq.points[n].x, abs=1e-9)
+    assert y == pytest.approx(seq.points[n].y, abs=1e-9)
 
 
 def test_range_validation():

@@ -1,7 +1,7 @@
 """The contract of the library's immutable value types.
 
-Angle, SumSpec, SumValue, Route, Point2, PlacedPoint, ConstructionConfig,
-PointSeq, OrbitCurve and BenchResult are values: they are built positionally or by
+Angle, SumSpec, SumValue, Route, Point2, ConstructionConfig, PointSeq,
+OrbitCurve and BenchResult are values: they are built positionally or by
 keyword with the documented defaults, compare and hash by field and only
 against their own class, print as ClassName(field=value, ...), refuse
 assignment and deletion, validate their inputs in a fixed order, and survive
@@ -17,13 +17,13 @@ import pytest
 
 from trigsum.angle import Angle
 from trigsum.bench import BenchResult
-from trigsum.geometry import ConstructionConfig, Line, PlacedPoint, Point2, PointSeq
+from trigsum.geometry import ConstructionConfig, Line, Point2, PointSeq
 from trigsum.kernels import ROUTES, Family, Method, Route, SumSpec, SumValue
 from trigsum.orbit import OrbitCurve
 
 A = Angle(0.25)
-P0 = PlacedPoint(0, Line.E, Point2(0.0, 0.0))
-P1 = PlacedPoint(1, Line.X, Point2(1.0, 0.0))
+P0 = Point2(0.0, 0.0)
+P1 = Point2(1.0, 0.0)
 SAMPLES = ((0.0, 0.0, 0.0), (0.5, 1.5, -0.25))
 
 #: (class, positional args, the same value by keyword, its repr).
@@ -41,17 +41,12 @@ CASES = [
      "Route(name='r', family=<Family.EVEN: 'even'>, label='sin(alpha)', "
      "denominator=<built-in function sin>, evaluate=<built-in function hypot>)"),
     (Point2, (1.0, -2.0), {"x": 1.0, "y": -2.0}, "Point2(x=1.0, y=-2.0)"),
-    (PlacedPoint, (1, Line.X, Point2(1.0, 0.0)),
-     {"index": 1, "line": Line.X, "point": Point2(1.0, 0.0)},
-     "PlacedPoint(index=1, line=<Line.X: 'x'>, point=Point2(x=1.0, y=0.0))"),
     (ConstructionConfig, (A, 7, Line.E), {"alpha": A, "n": 7, "start_line": Line.E},
      "ConstructionConfig(alpha=Angle(radians=0.25), n=7, start_line=<Line.E: 'e'>)"),
     (PointSeq, (A, Line.X, (P0, P1), (1,)),
      {"alpha": A, "start_line": Line.X, "points": (P0, P1), "tangency_events": (1,)},
      "PointSeq(alpha=Angle(radians=0.25), start_line=<Line.X: 'x'>, points=("
-     "PlacedPoint(index=0, line=<Line.E: 'e'>, point=Point2(x=0.0, y=0.0)), "
-     "PlacedPoint(index=1, line=<Line.X: 'x'>, point=Point2(x=1.0, y=0.0))), "
-     "tangency_events=(1,))"),
+     "Point2(x=0.0, y=0.0), Point2(x=1.0, y=0.0)), tangency_events=(1,))"),
     (OrbitCurve, (3, 0.0, 0.5, 2, SAMPLES),
      {"n": 3, "alpha_min": 0.0, "alpha_max": 0.5, "steps": 2, "samples": SAMPLES},
      "OrbitCurve(n=3, alpha_min=0.0, alpha_max=0.5, steps=2, "

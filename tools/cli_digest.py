@@ -103,6 +103,19 @@ def vectors() -> list[list[str]]:
          "--format", "csv"],
     ]
 
+    # -inf, -infinity and -nan in any case, for every option that takes a float
+    out += [
+        ["sum", "--phi", "-inf", "--m", "3"],
+        ["sum", "--phi", "-NaN", "--m", "3", "--method", "naive"],
+        ["sum", "--phi", "1.0", "--m", "3", "--threshold", "-Infinity"],
+        ["construct", "--alpha", "-INF", "--n", "6"],
+        lagrange + _grid("-inf", "1.0"),
+        lagrange + _grid("0.1", "-nan"),
+        lagrange + _grid("0.1", "1.0") + ["--guard", "-inf"],
+        ["orbit", "--n", "3", "--alpha-min", "-nan", "--format", "csv"],
+        ["orbit", "--n", "3", "--alpha-max", "-Inf", "--format", "svg"],
+    ]
+
     # orbit
     for n in ("1", "3", "5"):
         out += [["orbit", "--n", n, "--steps", "33", "--format", fmt]
@@ -138,18 +151,24 @@ def vectors() -> list[list[str]]:
     return out
 
 
-def digest(argv: list[str], env: dict[str, str]) -> tuple[int, str]:
-    """Run one vector in a fresh working directory; returns (exit code, sha256)."""
+def digest_line(argv: list[str], code: int, stdout: bytes, stderr: bytes, cwd: str) -> str:
+    """The line of one vector, from its exit code, its output and the --out
+    file it left in its working directory cwd, if any."""
+    out_file = Path(cwd, OUT)
+    written = out_file.read_bytes() if out_file.exists() else None
+    h = hashlib.sha256()
+    for part in (stdout, stderr, written):
+        # length-prefixed, so no two different outputs hash alike by moving bytes
+        h.update(b"-" if part is None else b"%d:" % len(part) + part)
+    return f"{code} {h.hexdigest()} {shlex.join(argv) or '(no arguments)'}"
+
+
+def digest(argv: list[str], env: dict[str, str]) -> str:
+    """Run one vector in a fresh process and working directory; returns its line."""
     with tempfile.TemporaryDirectory(prefix="cli-digest-") as cwd:
         proc = subprocess.run([sys.executable, "-m", "trigsum.cli", *argv], cwd=cwd, env=env,
                               capture_output=True, timeout=300)
-        out_file = Path(cwd, OUT)
-        written = out_file.read_bytes() if out_file.exists() else None
-    h = hashlib.sha256()
-    for part in (proc.stdout, proc.stderr, written):
-        # length-prefixed, so no two different outputs hash alike by moving bytes
-        h.update(b"-" if part is None else b"%d:" % len(part) + part)
-    return proc.returncode, h.hexdigest()
+        return digest_line(argv, proc.returncode, proc.stdout, proc.stderr, cwd)
 
 
 def main() -> None:
@@ -161,8 +180,7 @@ def main() -> None:
     env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
     argvs = vectors()
     for argv in argvs:
-        code, sha = digest(argv, env)
-        print(f"{code} {sha} {shlex.join(argv) or '(no arguments)'}", flush=True)
+        print(digest(argv, env), flush=True)
     print(f"# {len(argvs)} vectors")
 
 
