@@ -11,22 +11,18 @@ is the path the golden was made on. Regenerate the golden with
 when a change to the command line's output is intended.
 """
 
-import importlib.util
 import io
 import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import cli_digest
 import pytest
 
 from trigsum.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = (ROOT / "tests" / "golden" / "cli_digest.txt").read_text().splitlines()
-
-_spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "tools" / "cli_digest.py")
-cli_digest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(cli_digest)
 
 VECTORS = cli_digest.vectors()
 

@@ -151,16 +151,22 @@ def vectors() -> list[list[str]]:
     return out
 
 
+def sha256_parts(*parts: bytes | None) -> str:
+    """Hex sha256 of parts, each length-prefixed (None as "-"), so no two
+    different sequences of parts hash alike by moving bytes between them."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(b"-" if part is None else b"%d:" % len(part) + part)
+    return h.hexdigest()
+
+
 def digest_line(argv: list[str], code: int, stdout: bytes, stderr: bytes, cwd: str) -> str:
     """The line of one vector, from its exit code, its output and the --out
     file it left in its working directory cwd, if any."""
     out_file = Path(cwd, OUT)
     written = out_file.read_bytes() if out_file.exists() else None
-    h = hashlib.sha256()
-    for part in (stdout, stderr, written):
-        # length-prefixed, so no two different outputs hash alike by moving bytes
-        h.update(b"-" if part is None else b"%d:" % len(part) + part)
-    return f"{code} {h.hexdigest()} {shlex.join(argv) or '(no arguments)'}"
+    hashed = sha256_parts(stdout, stderr, written)
+    return f"{code} {hashed} {shlex.join(argv) or '(no arguments)'}"
 
 
 def digest(argv: list[str], env: dict[str, str]) -> str:
