@@ -63,7 +63,7 @@ class _SubcommandParser(argparse.ArgumentParser):
 def _construct_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, required=True, help="opening angle in radians")
     p.add_argument("--n", type=int, required=True, help="number of points beyond the origin")
-    p.add_argument("--start-line", choices=["x", "e"], default="x",
+    p.add_argument("--start-line", choices=[line.value for line in Line], default="x",
                    help="line carrying the first unit point (default: x)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -105,7 +105,7 @@ def _orbit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha-min", type=float, default=0.0)
     p.add_argument("--alpha-max", type=float, default=TWO_PI)
     p.add_argument("--steps", type=int, default=1024)
-    p.add_argument("--format", choices=["csv", "json", "svg"], required=True)
+    p.add_argument("--format", choices=[fmt.value for fmt in EmitFormat], required=True)
 
 
 def _bench_arguments(p: argparse.ArgumentParser) -> None:

@@ -301,10 +301,8 @@ def x_coordinate_identity(
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     rad = as_angle(alpha).radians
-    lhs = 1.0
-    for l in range(1, k + 1):
-        lhs += 2.0 * math.cos(2 * l * rad)
-    lhs += math.cos((2 * k + 2) * rad)
+    # twice the naive even sum from 0.5: doubling is exact, so these are the literal loop's bits
+    lhs = 2.0 * _add_terms(0.5, rad, _multiples(Family.EVEN, 0, k)) + math.cos((2 * k + 2) * rad)
     terminal = ROUTES["x_terminal"]
     return lhs, terminal.evaluate(rad, terminal.checked(rad, threshold), k)
 
@@ -317,8 +315,8 @@ def sum_auto(
 ) -> SumValue:
     """Evaluate a sum by closed form, or by the oracle near its singularity.
 
-    full_form selects the closed form for the full family ("halfangle" or
-    "lagrange"); the even/odd families have one form each. When the relevant
+    full_form selects the closed form for the full family (one of
+    FULL_FORMS); the even/odd families have one form each. When the relevant
     denominator magnitude is below threshold the literal sum is returned with
     method=NaiveFallback. Defined for every finite angle whose largest scaled
     argument, about count * |phi| (2k * |alpha| for the even/odd families),
@@ -328,7 +326,7 @@ def sum_auto(
     if not threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     if full_form not in FULL_FORMS:
-        raise ValueError(f"full_form must be 'halfangle' or 'lagrange', got {full_form!r}")
+        raise ValueError(f"full_form must be one of {FULL_FORMS}, got {full_form!r}")
     route = ROUTES[full_form if spec.family is Family.FULL else spec.family.value]
     rad = spec.angle.radians
     den = route.denominator(rad)

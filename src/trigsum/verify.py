@@ -60,10 +60,6 @@ class GridSpec:
         if not (math.isfinite(self.guard) and self.guard >= 0.0):
             raise ValueError(f"guard must be finite and >= 0, got {self.guard}")
 
-    def angles(self) -> list[float]:
-        """The grid angles, endpoint-inclusive, in increasing order."""
-        return list(inclusive_grid(self.angle_min, self.angle_max, self.steps, "angle"))
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -231,7 +227,7 @@ def residual_sweep(
     max_abs = -1.0
     argmax_angle = math.nan
     argmax_count = 0
-    for rad in grid.angles():
+    for rad in inclusive_grid(grid.angle_min, grid.angle_max, grid.steps, "angle"):
         try:
             residuals = rule(rad, guard)
         except TrigsumError:

@@ -224,6 +224,25 @@ def test_x_coordinate_identity_agrees(alpha, k):
     assert abs(lhs - rhs) <= 1e-9
 
 
+def literal_x_identity_lhs(alpha, k):
+    """The identity's left side as the one-term-at-a-time loop, kept here so
+    x_coordinate_identity is checked against it."""
+    rad = Angle(alpha).radians
+    lhs = 1.0
+    for l in range(1, k + 1):
+        lhs += 2.0 * math.cos(2 * l * rad)
+    return lhs + math.cos((2 * k + 2) * rad)
+
+
+@pytest.mark.parametrize("alpha", [0.37, -2.5, 123456.789, PI / 3, 2 * PI - 1e-7])
+def test_x_identity_lhs_matches_the_literal_loop_bit_for_bit(alpha):
+    # every remainder mod 8, below and above one run of eight, and two long sums
+    ks = [*range(41), 999, 4103]
+    assert [x_coordinate_identity(alpha, k, threshold=0.0)[0].hex() for k in ks] == [
+        literal_x_identity_lhs(alpha, k).hex() for k in ks
+    ]
+
+
 def test_sum_auto_fallback_at_pi():
     result = sum_auto(spec(PI, 5))
     assert result.method is Method.NAIVE_FALLBACK

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,7 @@ from trigsum import (
     residual_sweep,
     x_coordinate_identity,
 )
+from trigsum.angle import inclusive_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,15 +52,6 @@ def test_grid_validation():
         GridSpec(0.0, 1.0, 10, (1,), guard=-0.1)
     with pytest.raises(ValueError):
         GridSpec(math.nan, 1.0, 10, (1,))
-
-
-def test_grid_angles_inclusive_uniform():
-    grid = GridSpec(1.0, 2.0, 5, (1,))
-    angles = grid.angles()
-    assert angles[0] == 1.0
-    assert angles[-1] == 2.0
-    steps = [b - a for a, b in zip(angles, angles[1:])]
-    assert all(abs(s - 0.25) <= 1e-15 for s in steps)
 
 
 def test_counts_coerced_to_tuple():
@@ -103,7 +96,8 @@ def test_projection_pair():
 def test_skip_accounting_matches_guard_rule():
     grid = GridSpec(0.0, TWO_PI, 101, (2, 5), guard=0.01)
     report = residual_sweep(grid, ResidualPair.HALFANGLE_VS_NAIVE)
-    expected_skips = sum(1 for a in grid.angles() if abs(math.sin(a)) < 0.01)
+    angles = inclusive_grid(grid.angle_min, grid.angle_max, grid.steps, "angle")
+    expected_skips = sum(1 for a in angles if abs(math.sin(a)) < 0.01)
     assert expected_skips > 0
     assert report.skipped == expected_skips * 2
     assert report.evaluated == (101 - expected_skips) * 2
@@ -154,7 +148,7 @@ def test_row_order_is_angle_major_count_minor():
     grid = GridSpec(0.5, 0.7, 3, (5, 2))
     report = residual_sweep(grid, ResidualPair.LAGRANGE_VS_NAIVE, keep_rows=True)
     layout = [(angle, count) for angle, count, _ in report.rows]
-    angles = grid.angles()
+    angles = inclusive_grid(grid.angle_min, grid.angle_max, grid.steps, "angle")
     assert layout == [(a, c) for a in angles for c in (5, 2)]
 
 
@@ -167,6 +161,18 @@ def test_row_retention_control():
     grid = GridSpec(0.5, 1.0, 50_001, (1, 2))
     kept = residual_sweep(grid, ResidualPair.LAGRANGE_VS_HALFANGLE, keep_rows=True)
     assert len(kept.rows) == kept.evaluated == 100_002
+
+
+def test_sweep_memory_does_not_grow_with_its_grid():
+    # without rows a sweep holds one angle at a time: a 20 001-angle grid
+    # would take about 0.65 MB as a list of its angles
+    tracemalloc.start()
+    try:
+        residual_sweep(GridSpec(0.1, 3.0, 20_001, (1,)), ResidualPair.LAGRANGE_VS_HALFANGLE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_json_summary_shape():
@@ -268,7 +274,7 @@ def reference_sweep(grid, pair):
     guard_fn, residual_fn = REFERENCE_RULES[pair]
     rows = []
     skipped = 0
-    for rad in grid.angles():
+    for rad in inclusive_grid(grid.angle_min, grid.angle_max, grid.steps, "angle"):
         if guard_fn(rad) < grid.guard:
             skipped += len(grid.counts)
             continue

@@ -66,7 +66,7 @@ def calls() -> list[str]:
         for pair in PAIRS:
             out.append(f"residual_sweep({grid}, ResidualPair({pair!r})).to_json()")
             out.append(f"residual_sweep({grid}, ResidualPair({pair!r}), keep_rows=True).to_csv()")
-    # inputs every call rejects
+    # inputs the library rejects
     out += [
         "sum_auto(SumSpec(1.0, 5), full_form='reduced')",
         "sum_auto(SumSpec(1.0, 5), threshold=0.0)",
@@ -107,7 +107,7 @@ def _render(value: object) -> str:
 def digest_line(call: str, namespace: dict[str, object]) -> str:
     """The line of one call, evaluated over namespace."""
     try:
-        result = _render(eval(call, dict(namespace)))
+        result = _render(eval(call, namespace))
     except Exception as exc:  # an error is that call's output
         result = f"{type(exc).__name__}: {exc}"
     return f"{call} -> {result}"
