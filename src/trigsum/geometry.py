@@ -15,7 +15,7 @@ import math
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .angle import Angle, Record, as_angle
+from .angle import Angle, Record, _isfinite, _setattr, as_angle
 from .chebyshev import chebyshev_u
 from .errors import (
     ConstructionImpossible,
@@ -50,10 +50,10 @@ class Point2(Record):
     __slots__ = ("x", "y")
 
     def __init__(self, x: float, y: float) -> None:
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if not (_isfinite(x) and _isfinite(y)):
             raise ValueError(f"coordinates must be finite, got ({x!r}, {y!r})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
 
 
 class ConstructionConfig(Record):

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from operator import index as _index
 from typing import Callable, Sequence
 
-from .angle import Angle, Record, as_angle
+from .angle import Angle, Record, _setattr, as_angle
 from .errors import SingularDenominator
 
 #: Fallback/guard threshold on the denominator magnitude. At 1e-4 a closed
@@ -38,21 +39,36 @@ class Family(Enum):
 
 
 class SumSpec(Record):
-    """A requested cosine sum: family, term count, and the angle argument."""
+    """A requested cosine sum: family, term count, and the angle argument.
+
+    A bare number is coerced to an Angle, the count to an int through
+    operator.index (a float raises TypeError) and the family through
+    Family(family) (a string that names none raises ValueError).
+    """
 
     __slots__ = ("angle", "count", "family")
 
-    def __init__(self, angle: Angle, count: int, family: Family = Family.FULL) -> None:
-        object.__setattr__(self, "angle", as_angle(angle))
+    def __init__(self, angle: Angle | float, count: int,
+                 family: Family | str = Family.FULL) -> None:
+        _setattr(self, "angle", as_angle(angle))
+        if count.__class__ is not int:
+            count = _index(count)
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "family", family)
+        _setattr(self, "count", count)
+        _setattr(self, "family", family if family.__class__ is Family else Family(family))
 
 
 class Method(Enum):
     CLOSED_FORM = "ClosedForm"
     NAIVE_FALLBACK = "NaiveFallback"
+
+
+# sum_auto's members, bound once: on the query path a module global is cheaper
+# than the Enum class attribute, and identity than the Enum's value property.
+_FULL = Family.FULL
+_CLOSED_FORM = Method.CLOSED_FORM
+_NAIVE_FALLBACK = Method.NAIVE_FALLBACK
 
 
 class SumValue(Record):
@@ -66,9 +82,9 @@ class SumValue(Record):
     __slots__ = ("value", "method", "singular_proximity")
 
     def __init__(self, value: float, method: Method, singular_proximity: float) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "singular_proximity", singular_proximity)
+        _setattr(self, "value", value)
+        _setattr(self, "method", method)
+        _setattr(self, "singular_proximity", singular_proximity)
 
 
 def _multiples(family: Family, done: int, count: int) -> range:
@@ -208,8 +224,12 @@ class Route(Record):
         return _guard(self.denominator(rad), threshold, self.label)
 
     def __call__(self, angle: Angle | float, count: int, threshold: float) -> float:
-        """The closed form at (angle, count); raises for count < 1 and where
-        the denominator is below threshold or exactly zero."""
+        """The closed form at (angle, count); raises TypeError for a count that
+        is no integer (operator.index), ValueError for count < 1, and
+        SingularDenominator where the denominator is below threshold or
+        exactly zero."""
+        if count.__class__ is not int:
+            count = _index(count)
         if count < 1:
             symbol = "m" if self.family is Family.FULL else "k"
             raise ValueError(f"{symbol} must be >= 1, got {count}")
@@ -327,10 +347,11 @@ def sum_auto(
         raise ValueError(f"threshold must be > 0, got {threshold}")
     if full_form not in FULL_FORMS:
         raise ValueError(f"full_form must be one of {FULL_FORMS}, got {full_form!r}")
-    route = ROUTES[full_form if spec.family is Family.FULL else spec.family.value]
+    family = spec.family
+    route = ROUTES[full_form if family is _FULL else family._value_]
     rad = spec.angle.radians
     den = route.denominator(rad)
     proximity = abs(den)
     if proximity < threshold:
-        return SumValue(naive_trig_sum(spec), Method.NAIVE_FALLBACK, proximity)
-    return SumValue(route.evaluate(rad, den, spec.count), Method.CLOSED_FORM, proximity)
+        return SumValue(naive_trig_sum(spec), _NAIVE_FALLBACK, proximity)
+    return SumValue(route.evaluate(rad, den, spec.count), _CLOSED_FORM, proximity)

@@ -140,6 +140,45 @@ def test_spec_validation():
         SumSpec(Angle(1.0), 0)
 
 
+def test_counts_must_be_integers():
+    # a 2.5-term sum does not exist: the closed forms used to evaluate one
+    for count in (2.5, 3.0):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            SumSpec(1.0, count)
+        for fn in (lagrange_sum, halfangle_free_sum, even_index_sum, odd_index_sum):
+            with pytest.raises(TypeError):
+                fn(1.0, count)
+    # the angle is still checked first
+    with pytest.raises(ValueError, match="angle must be finite"):
+        SumSpec(math.nan, 2.5)
+
+
+def test_integer_like_counts_pass_as_int():
+    numpy = pytest.importorskip("numpy")
+    for count in (numpy.int64(7), numpy.uint8(7), True):
+        built = SumSpec(1.0, count)
+        assert built.count.__class__ is int
+        assert built == SumSpec(1.0, int(count))
+        for family in Family:
+            assert sum_auto(SumSpec(3e-5, count, family)) == sum_auto(SumSpec(3e-5, int(count), family))
+        for fn in (lagrange_sum, halfangle_free_sum, even_index_sum, odd_index_sum):
+            assert fn(1.0, count) == fn(1.0, int(count))
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        SumSpec(1.0, numpy.int64(0))
+
+
+def test_families_are_coerced_from_their_values():
+    for family in Family:
+        built = SumSpec(1.0, 3, family.value)
+        assert built.family is family
+        assert built == SumSpec(1.0, 3, family)
+        assert sum_auto(built) == sum_auto(SumSpec(1.0, 3, family))
+    with pytest.raises(ValueError, match="'bogus' is not a valid Family"):
+        SumSpec(1.0, 3, "bogus")
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        SumSpec(1.0, 0, "bogus")
+
+
 def test_lagrange_examples():
     assert lagrange_sum(2 * PI / 3, 2) == pytest.approx(-1.0, abs=1e-15)
     assert lagrange_sum(PI / 2, 4) == pytest.approx(0.0, abs=1e-15)
@@ -308,11 +347,14 @@ def test_zero_threshold_keeps_its_meaning_for_the_kernels():
             fn(0.0, 5, threshold=0.0)
 
 
-def test_sum_auto_validation():
-    with pytest.raises(ValueError):
-        sum_auto(spec(1.0, 3), threshold=0.0)
-    with pytest.raises(ValueError):
-        sum_auto(spec(1.0, 3), full_form="unknown")
+@pytest.mark.parametrize("family", list(Family))
+def test_sum_auto_validation(family):
+    # both checks run for every family, before a route is picked
+    for threshold in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            sum_auto(spec(1.0, 3, family), threshold=threshold)
+    with pytest.raises(ValueError, match="full_form must be one of"):
+        sum_auto(spec(1.0, 3, family), full_form="unknown")
 
 
 @given(guarded_angles, st.integers(1, 200))

@@ -78,7 +78,15 @@ def calls() -> list[str]:
         "naive_running_sums(1.0, Family.FULL, (3, 0))",
         "projection_sums(ConstructionConfig(0.9, 5), Line.X, (6,))",
         "orbit_samples(0)",
+        "SumSpec(1.0, 2.5)",
+        "lagrange_sum(1.0, 2.5)",
+        "SumSpec(1.0, 3, 'bogus')",
+        # the threshold and full_form checks run for every family
+        "sum_auto(SumSpec(1.0, 5, Family.EVEN), full_form='reduced')",
+        "sum_auto(SumSpec(1.0, 5, Family.ODD), threshold=float('nan'))",
     ]
+    # a family given by its value
+    out.append("sum_auto(SumSpec(1.0, 3, 'even'))")
     return out
 
 
