@@ -1,10 +1,11 @@
 """Value types (the Record base, and Angle: a finite angle in radians, never
-range-reduced) and the uniform angle grid shared by sweeps and orbit sampling."""
+range-reduced), the count intake, and the uniform grid of sweeps and orbits."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from operator import index as _index
+from typing import Iterable, Iterator
 
 from .errors import BadRange
 
@@ -76,6 +77,24 @@ def as_angle(value: Angle | float) -> Angle:
     if isinstance(value, Angle):
         return value
     return Angle(float(value))
+
+
+def as_count(value: int, name: str, least: int = 1) -> int:
+    """value as an int >= least; a non-int goes through operator.index (a
+    float raises TypeError), a smaller value raises ValueError naming it."""
+    if value.__class__ is not int:
+        value = _index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def as_counts(values: Iterable[int]) -> tuple[int, ...]:
+    """as_count over values, as a tuple; one message names them all."""
+    counts = tuple(map(_index, values))
+    if any(count < 1 for count in counts):
+        raise ValueError(f"counts must all be >= 1, got {counts}")
+    return counts
 
 
 def inclusive_grid(lo: float, hi: float, steps: int, name: str) -> Iterator[float]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 
-from .angle import Angle, Record
+from .angle import Angle, Record, as_count
 from .formatting import json_line
 from .kernels import Family, SumSpec, halfangle_free_sum, naive_trig_sum
 
@@ -48,10 +48,7 @@ def measure(m: int, repeats: int) -> BenchResult:
     Each route runs `repeats` times; the mean wall time per evaluation over
     the post-warmup repeats is reported in nanoseconds.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    m, repeats = as_count(m, "m"), as_count(repeats, "repeats")
     # untimed: a count no float can hold raises here, before the O(m) naive loop
     halfangle_free_sum(BENCH_PHI, m)
     spec = SumSpec(Angle(BENCH_PHI), m, Family.FULL)

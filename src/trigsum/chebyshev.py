@@ -10,6 +10,7 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING, Union
 
+from .angle import as_count
 from .errors import DegreeTooLarge
 
 #: Evaluation is O(degree); degrees above this are rejected.
@@ -36,7 +37,7 @@ def chebyshev_u(degree: int, x: FloatOrArray) -> FloatOrArray:
     U_0 = 1, U_1 = 2x, U_{j+1} = 2x U_j - U_{j-1}. Defined for all real x;
     accepts a scalar or an ndarray, and the return type matches the input.
     """
-    _check_degree(degree)
+    degree = _check_degree(degree)
     x, u_prev = _start(x)
     if degree == 0:
         return u_prev
@@ -53,7 +54,7 @@ def u_sequence(max_deg: int, x: FloatOrArray) -> list:
     Sweeps that need every degree up to a bound should use this instead of
     calling chebyshev_u per degree, which would repeat the whole recurrence.
     """
-    _check_degree(max_deg)
+    max_deg = _check_degree(max_deg)
     x, one = _start(x)
     values: list = [one]
     if max_deg == 0:
@@ -65,8 +66,8 @@ def u_sequence(max_deg: int, x: FloatOrArray) -> list:
     return values
 
 
-def _check_degree(degree: int) -> None:
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+def _check_degree(degree: int) -> int:
+    degree = as_count(degree, "degree", least=0)
     if degree > MAX_DEGREE:
         raise DegreeTooLarge(f"degree {degree} exceeds the configured maximum {MAX_DEGREE}")
+    return degree

@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_construct(args: argparse.Namespace) -> str:
-    cfg = ConstructionConfig(alpha=Angle(args.alpha), n=args.n, start_line=Line(args.start_line))
+    cfg = ConstructionConfig(alpha=Angle(args.alpha), n=args.n, start_line=args.start_line)
     seq = construct_points(cfg)
     return seq.to_csv() if args.format == "csv" else seq.to_json()
 
@@ -148,13 +148,13 @@ def _run_sum(args: argparse.Namespace) -> str:
 
 def _run_verify(args: argparse.Namespace) -> str:
     grid = GridSpec(args.angle_min, args.angle_max, args.steps, args.counts, args.guard)
-    report = residual_sweep(grid, ResidualPair(args.pair), keep_rows=args.rows)
+    report = residual_sweep(grid, args.pair, keep_rows=args.rows)
     return report.to_csv() if args.rows else report.to_json()
 
 
 def _run_orbit(args: argparse.Namespace) -> str:
     curve = orbit_samples(args.n, args.alpha_min, args.alpha_max, args.steps)
-    return emit(curve, EmitFormat(args.format)).decode("utf-8")
+    return emit(curve, args.format).decode("utf-8")
 
 
 def _run_bench(args: argparse.Namespace) -> str:

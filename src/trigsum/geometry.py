@@ -15,7 +15,7 @@ import math
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .angle import Angle, Record, _isfinite, _setattr, as_angle
+from .angle import Angle, Record, _index, _isfinite, _setattr, as_angle, as_count
 from .chebyshev import chebyshev_u
 from .errors import (
     ConstructionImpossible,
@@ -34,7 +34,7 @@ EPSILON_EXCLUDE = 1e-8
 #: noise scale at unit magnitudes).
 TOL_TANGENT = 1e-10
 
-_TWO_PI = 2.0 * math.pi
+TWO_PI = 2.0 * math.pi
 
 
 class Line(Enum):
@@ -57,15 +57,14 @@ class Point2(Record):
 
 
 class ConstructionConfig(Record):
-    """Inputs of a construction run; n is the number of points beyond A_0."""
+    """Inputs of a construction run; n, the number of points beyond A_0, goes
+    through as_count and start_line through Line(start_line)."""
 
     __slots__ = ("alpha", "n", "start_line")
 
-    def __init__(self, alpha: Angle, n: int, start_line: Line = Line.X) -> None:
+    def __init__(self, alpha: Angle, n: int, start_line: Line | str = Line.X) -> None:
         alpha = as_angle(alpha)
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        self._set(alpha, n, start_line)
+        self._set(alpha, as_count(n, "n"), Line(start_line))
 
 
 class PointSeq(Record):
@@ -101,12 +100,13 @@ class PointSeq(Record):
                           "points": list(self._rows()), "tangency_events": self.tangency_events})
 
 
-def line_for_index(index: int, start_line: Line) -> Line:
+def line_for_index(index: int, start_line: Line | str) -> Line:
     """Parity rule: A_1 sits on start_line and the lines alternate.
 
     A_0 is the intersection point and lies on both lines; it is labeled with
     the even-parity line for consistency.
     """
+    start_line = Line(start_line)
     if index % 2 == 1:
         return start_line
     return Line.E if start_line is Line.X else Line.X
@@ -210,8 +210,7 @@ def closed_form_point(alpha: Angle | float, n: int) -> Point2:
     for even n. It evaluates for any n >= 1; callers enforce the parity
     convention. Undefined where sin a vanishes.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = as_count(n, "n")
     rad = as_angle(alpha).radians
     sin_a = math.sin(rad)
     if abs(sin_a) < EPSILON_EXCLUDE:
@@ -226,15 +225,14 @@ def chebyshev_form_point(alpha: Angle | float, n: int) -> Point2:
     Total in a (no singularity); equals closed_form_point wherever both are
     defined.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = as_count(n, "n")
     rad = as_angle(alpha).radians
     cos_a = math.cos(rad)
     u = chebyshev_u(n - 1, cos_a)
     return Point2(cos_a * u, math.sin(rad) * u)
 
 
-def projection_sum(seq: PointSeq, target: Line, count: int) -> float:
+def projection_sum(seq: PointSeq, target: Line | str, count: int) -> float:
     """Signed scalar projections of the first count segments onto target.
 
     Each segment A_{l-1} -> A_l is projected onto the unit direction of the
@@ -246,7 +244,7 @@ def projection_sum(seq: PointSeq, target: Line, count: int) -> float:
             f"count must be in 1..{seq.segment_count}, got {count}"
         )
     rad = seq.alpha.radians
-    dx, dy = _direction(target, math.cos(rad), math.sin(rad))
+    dx, dy = _direction(Line(target), math.cos(rad), math.sin(rad))
     total = 0.0
     pts = seq.points
     for l in range(1, count + 1):
@@ -256,7 +254,8 @@ def projection_sum(seq: PointSeq, target: Line, count: int) -> float:
     return total
 
 
-def projection_sums(cfg: ConstructionConfig, target: Line, counts: Sequence[int]) -> list[float]:
+def projection_sums(cfg: ConstructionConfig, target: Line | str,
+                    counts: Sequence[int]) -> list[float]:
     """projection_sum at each of counts, from one walk of the construction.
 
     The walk runs line_coordinates up to cfg.n and accumulates the same
@@ -265,10 +264,11 @@ def projection_sums(cfg: ConstructionConfig, target: Line, counts: Sequence[int]
     without building the points. counts may be unsorted and repeat; the
     result follows their order. Memory is one float per distinct count.
     """
+    counts = tuple(map(_index, counts))
     if any(count < 1 or count > cfg.n for count in counts):
-        raise CountOutOfRange(f"counts must be in 1..{cfg.n}, got {tuple(counts)}")
+        raise CountOutOfRange(f"counts must be in 1..{cfg.n}, got {counts}")
     rad = cfg.alpha.radians
-    tx, ty = _direction(target, math.cos(rad), math.sin(rad))
+    tx, ty = _direction(Line(target), math.cos(rad), math.sin(rad))
     directions = _point_directions(cfg)
     wanted = set(counts)
     totals: dict[int, float] = {}
@@ -294,7 +294,7 @@ def segment_direction_angles(seq: PointSeq) -> list[float]:
     """
     out = []
     for prev, cur in zip(seq.points, seq.points[1:]):
-        ang = math.atan2(cur.y - prev.y, cur.x - prev.x) % _TWO_PI
+        ang = math.atan2(cur.y - prev.y, cur.x - prev.x) % TWO_PI
         # a tiny negative atan2 rounds up to 2 pi here, the direction of 0
-        out.append(0.0 if ang == _TWO_PI else ang)
+        out.append(0.0 if ang == TWO_PI else ang)
     return out

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from operator import index as _index
 from typing import Callable, Sequence
 
-from .angle import Angle, Record, _setattr, as_angle
+from .angle import Angle, Record, _setattr, as_angle, as_count, as_counts
 from .errors import SingularDenominator
 
 #: Fallback/guard threshold on the denominator magnitude. At 1e-4 a closed
@@ -41,9 +40,8 @@ class Family(Enum):
 class SumSpec(Record):
     """A requested cosine sum: family, term count, and the angle argument.
 
-    A bare number is coerced to an Angle, the count to an int through
-    operator.index (a float raises TypeError) and the family through
-    Family(family) (a string that names none raises ValueError).
+    A bare number is coerced to an Angle, the count goes through as_count
+    and the family through Family(family).
     """
 
     __slots__ = ("angle", "count", "family")
@@ -51,10 +49,8 @@ class SumSpec(Record):
     def __init__(self, angle: Angle | float, count: int,
                  family: Family | str = Family.FULL) -> None:
         _setattr(self, "angle", as_angle(angle))
-        if count.__class__ is not int:
-            count = _index(count)
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        if count.__class__ is not int or count < 1:  # an int >= 1 skips the call
+            count = as_count(count, "count")
         _setattr(self, "count", count)
         _setattr(self, "family", family if family.__class__ is Family else Family(family))
 
@@ -145,14 +141,14 @@ class RunningSumPlan:
     follows their order. A one-term gap is added inline with its multiplier
     stored as a float, when that is the exact integer (below 2**53); every
     other gap goes to _add_terms. The plan holds O(len(counts)) values, never
-    one per term, so huge counts cost nothing until a pass runs.
+    one per term, so huge counts cost nothing until a pass runs. The family
+    goes through Family(family), the counts through as_counts.
     """
 
     __slots__ = ("_steps", "_index")
 
-    def __init__(self, family: Family, counts: Sequence[int]) -> None:
-        if any(count < 1 for count in counts):
-            raise ValueError(f"counts must all be >= 1, got {tuple(counts)}")
+    def __init__(self, family: Family | str, counts: Sequence[int]) -> None:
+        family, counts = Family(family), as_counts(counts)
         distinct = sorted(set(counts))
         position = {count: i for i, count in enumerate(distinct)}
         self._index = [position[count] for count in counts]
@@ -178,7 +174,7 @@ class RunningSumPlan:
 
 
 def naive_running_sums(
-    phi: Angle | float, family: Family, counts: Sequence[int]
+    phi: Angle | float, family: Family | str, counts: Sequence[int]
 ) -> list[float]:
     """naive_trig_sum at each of counts, from one ordered pass over the terms
     (see RunningSumPlan). counts may be unsorted and repeat; the result
@@ -224,15 +220,9 @@ class Route(Record):
         return _guard(self.denominator(rad), threshold, self.label)
 
     def __call__(self, angle: Angle | float, count: int, threshold: float) -> float:
-        """The closed form at (angle, count); raises TypeError for a count that
-        is no integer (operator.index), ValueError for count < 1, and
-        SingularDenominator where the denominator is below threshold or
-        exactly zero."""
-        if count.__class__ is not int:
-            count = _index(count)
-        if count < 1:
-            symbol = "m" if self.family is Family.FULL else "k"
-            raise ValueError(f"{symbol} must be >= 1, got {count}")
+        """The closed form at (angle, count), the count through as_count; raises
+        SingularDenominator where the denominator is below threshold or zero."""
+        count = as_count(count, "m" if self.family is Family.FULL else "k")
         rad = as_angle(angle).radians
         return self.evaluate(rad, self.checked(rad, threshold), count)
 
@@ -318,8 +308,7 @@ def x_coordinate_identity(
     (lhs by direct accumulation, rhs by closed form); callers assert their
     agreement. k = 0 is allowed and collapses the middle sum.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = as_count(k, "k", least=0)
     rad = as_angle(alpha).radians
     # twice the naive even sum from 0.5: doubling is exact, so these are the literal loop's bits
     lhs = 2.0 * _add_terms(0.5, rad, _multiples(Family.EVEN, 0, k)) + math.cos((2 * k + 2) * rad)

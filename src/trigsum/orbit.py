@@ -9,14 +9,11 @@ cotangent form would blow up.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
-from .angle import Record, inclusive_grid
+from .angle import Record, as_count, inclusive_grid
 from .formatting import csv_text, fmt12, json_line
-from .geometry import chebyshev_form_point
-
-TWO_PI = 2.0 * math.pi
+from .geometry import TWO_PI, chebyshev_form_point
 
 
 class EmitFormat(Enum):
@@ -42,8 +39,7 @@ def orbit_samples(
     steps: int = 1024,
 ) -> OrbitCurve:
     """Sample the orbit of A_n uniformly, inclusive of both endpoints."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = as_count(n, "n")
     samples = []
     for a in inclusive_grid(alpha_min, alpha_max, steps, "alpha"):
         p = chebyshev_form_point(a, n)
@@ -52,8 +48,9 @@ def orbit_samples(
     return OrbitCurve(n, float(alpha_min), float(alpha_max), steps, tuple(samples))
 
 
-def emit(curve: OrbitCurve, fmt: EmitFormat) -> bytes:
+def emit(curve: OrbitCurve, fmt: EmitFormat | str) -> bytes:
     """Serialize a curve; a pure function, byte-identical for equal inputs."""
+    fmt = EmitFormat(fmt)
     if fmt is EmitFormat.CSV:
         text = csv_text("alpha,x,y", curve.samples)
     elif fmt is EmitFormat.JSON:

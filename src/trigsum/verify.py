@@ -19,7 +19,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from . import kernels
-from .angle import Angle, inclusive_grid
+from .angle import Angle, as_counts, inclusive_grid
 from .errors import EmptyGrid, TrigsumError
 from .formatting import csv_text, json_line
 
@@ -51,12 +51,10 @@ class GridSpec:
     guard: float = 0.01
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
+        object.__setattr__(self, "counts", as_counts(self.counts))
         inclusive_grid(self.angle_min, self.angle_max, self.steps, "angle")
         if not self.counts:
             raise ValueError("counts must be non-empty")
-        if any(c < 1 for c in self.counts):
-            raise ValueError(f"counts must all be >= 1, got {self.counts}")
         if not (math.isfinite(self.guard) and self.guard >= 0.0):
             raise ValueError(f"guard must be finite and >= 0, got {self.guard}")
 
@@ -186,7 +184,7 @@ _PAIR_RULES: dict[ResidualPair, _Prepare] = {
 
 
 def residual_sweep(
-    grid: GridSpec, pair: ResidualPair, *, keep_rows: bool = False
+    grid: GridSpec, pair: ResidualPair | str, *, keep_rows: bool = False
 ) -> ResidualReport:
     """Evaluate a pair over the grid and aggregate |residual| statistics.
 
@@ -215,6 +213,7 @@ def residual_sweep(
     should it occur, the whole angle is skipped, also the counts whose
     shorter walks stop before the failing step.
     """
+    pair = ResidualPair(pair)
     counts = grid.counts
     width = len(counts)
     rule = _PAIR_RULES[pair](counts)

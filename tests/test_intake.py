@@ -1,0 +1,69 @@
+"""Counts and choices enter the library one way.
+
+A count goes through angle.as_count (or its tuple form, as_counts), so a
+float raises TypeError wherever a count is taken; a choice goes through its
+Enum once, at the public entry, so a value string means its member and a
+string that names none raises ValueError. Each row below is an input the
+library once took without either rule.
+"""
+
+import pytest
+
+from trigsum import (
+    ConstructionConfig,
+    EmitFormat,
+    Family,
+    GridSpec,
+    Line,
+    ResidualPair,
+    closed_form_point,
+    construct_points,
+    emit,
+    line_for_index,
+    naive_running_sums,
+    orbit_samples,
+    projection_sum,
+    projection_sums,
+    residual_sweep,
+)
+
+SEQ = construct_points(ConstructionConfig(0.9, 5))
+CURVE = orbit_samples(3, steps=9)
+GRID = GridSpec(0.1, 3.0, 5, (1, 4))
+
+#: name -> (call, expected): the exception type the call raises, or a call
+#: over Enum members whose result the first call's equals.
+INTAKE = {
+    "grid-float-count": (lambda: GridSpec(0.1, 3.0, 5, (2.5,)), TypeError),
+    "construction-float-n": (lambda: ConstructionConfig(0.9, 2.5), TypeError),
+    "projection-sums-float-count": (
+        lambda: projection_sums(ConstructionConfig(0.9, 5), Line.X, (2.5,)), TypeError),
+    "closed-form-point-float-n": (lambda: closed_form_point(0.5, 2.5), TypeError),
+    "running-sums-family-value": (lambda: naive_running_sums(1.0, "even", (3,)),
+                                  lambda: naive_running_sums(1.0, Family.EVEN, (3,))),
+    "running-sums-bogus-family": (lambda: naive_running_sums(1.0, "bogus", (3,)), ValueError),
+    "construction-bogus-line": (lambda: ConstructionConfig(0.9, 3, "bogus"), ValueError),
+    "emit-bogus-format": (lambda: emit(CURVE, "bogus"), ValueError),
+    "sweep-bogus-pair": (lambda: residual_sweep(GRID, "bogus"), ValueError),
+    "projection-sum-line-value": (lambda: projection_sum(SEQ, "x", 3),
+                                  lambda: projection_sum(SEQ, Line.X, 3)),
+    "projection-sums-line-value": (
+        lambda: projection_sums(ConstructionConfig(0.9, 5), "x", (3, 1, 5)),
+        lambda: projection_sums(ConstructionConfig(0.9, 5), Line.X, (3, 1, 5))),
+    "line-for-odd-index": (lambda: line_for_index(1, "x"), lambda: Line.X),
+    "line-for-even-index": (lambda: line_for_index(2, "x"), lambda: Line.E),
+    "construction-start-line-value": (lambda: ConstructionConfig(0.9, 3, "e").start_line,
+                                      lambda: Line.E),
+    "emit-format-value": (lambda: emit(CURVE, "csv"), lambda: emit(CURVE, EmitFormat.CSV)),
+    "sweep-pair-value": (lambda: residual_sweep(GRID, "LagrangeVsNaive"),
+                         lambda: residual_sweep(GRID, ResidualPair.LAGRANGE_VS_NAIVE)),
+}
+
+
+@pytest.mark.parametrize("call, expected", INTAKE.values(), ids=INTAKE)
+def test_counts_and_choices_take_one_intake(call, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected()

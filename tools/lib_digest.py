@@ -87,6 +87,22 @@ def calls() -> list[str]:
     ]
     # a family given by its value
     out.append("sum_auto(SumSpec(1.0, 3, 'even'))")
+    # every count through one intake, every choice through its Enum
+    out += [
+        "GridSpec(0.1, 3.0, 5, (2.5,))",
+        "ConstructionConfig(0.9, 2.5)",
+        "projection_sums(ConstructionConfig(0.9, 5), Line.X, (2.5,))",
+        "closed_form_point(0.5, 2.5)",
+        "naive_running_sums(1.0, 'even', (3,))",
+        "naive_running_sums(1.0, 'bogus', (3,))",
+        "projection_sum(construct_points(ConstructionConfig(0.9, 5)), 'x', 3)",
+        "projection_sums(ConstructionConfig(0.9, 5), 'x', (3, 1, 5))",
+        "line_for_index(1, 'x')",
+        "line_for_index(2, 'x')",
+        "ConstructionConfig(0.9, 3, 'e').start_line",
+        "emit(orbit_samples(3, steps=33), 'csv')",
+        "residual_sweep(GridSpec(0.1, 3.0, 5, (1, 4)), 'LagrangeVsNaive').to_json()",
+    ]
     return out
 
 
