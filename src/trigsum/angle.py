@@ -90,7 +90,8 @@ def as_count(value: int, name: str, least: int = 1) -> int:
 
 
 def as_counts(values: Iterable[int]) -> tuple[int, ...]:
-    """as_count over values, as a tuple; one message names them all."""
+    """values as a tuple of ints, each through operator.index and all >= 1;
+    one message names them all."""
     counts = tuple(map(_index, values))
     if any(count < 1 for count in counts):
         raise ValueError(f"counts must all be >= 1, got {counts}")

@@ -148,7 +148,7 @@ def _run_sum(args: argparse.Namespace) -> str:
 
 def _run_verify(args: argparse.Namespace) -> str:
     grid = GridSpec(args.angle_min, args.angle_max, args.steps, args.counts, args.guard)
-    report = residual_sweep(grid, args.pair, keep_rows=args.rows)
+    report = residual_sweep(grid, ResidualPair(args.pair), keep_rows=args.rows)
     return report.to_csv() if args.rows else report.to_json()
 
 

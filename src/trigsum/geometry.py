@@ -63,8 +63,8 @@ class ConstructionConfig(Record):
     __slots__ = ("alpha", "n", "start_line")
 
     def __init__(self, alpha: Angle, n: int, start_line: Line | str = Line.X) -> None:
-        alpha = as_angle(alpha)
-        self._set(alpha, as_count(n, "n"), Line(start_line))
+        alpha, n = as_angle(alpha), as_count(n, "n")
+        self._set(alpha, n, start_line if start_line.__class__ is Line else Line(start_line))
 
 
 class PointSeq(Record):
@@ -86,7 +86,7 @@ class PointSeq(Record):
         return len(self.points) - 1
 
     def _rows(self) -> Iterator[tuple[int, str, float, float]]:
-        lines = [line_for_index(parity, self.start_line).value for parity in (0, 1)]
+        lines = [line.value for line in _parity_lines(self.start_line)]
         return ((index, lines[index % 2], p.x, p.y) for index, p in enumerate(self.points))
 
     def to_csv(self) -> str:
@@ -106,10 +106,13 @@ def line_for_index(index: int, start_line: Line | str) -> Line:
     A_0 is the intersection point and lies on both lines; it is labeled with
     the even-parity line for consistency.
     """
-    start_line = Line(start_line)
-    if index % 2 == 1:
-        return start_line
-    return Line.E if start_line is Line.X else Line.X
+    even, odd = _parity_lines(Line(start_line))
+    return odd if index % 2 == 1 else even
+
+
+def _parity_lines(start_line: Line) -> tuple[Line, Line]:
+    """The lines of even- and odd-index points, for a start_line member."""
+    return (Line.E if start_line is Line.X else Line.X), start_line
 
 
 def _direction(line: Line, cos_a: float, sin_a: float) -> tuple[float, float]:
@@ -181,9 +184,7 @@ def _point_directions(cfg: ConstructionConfig) -> tuple[tuple[float, float], ...
     """Unit directions of the lines of even- and odd-index points."""
     rad = cfg.alpha.radians
     cos_a, sin_a = math.cos(rad), math.sin(rad)
-    return tuple(
-        _direction(line_for_index(parity, cfg.start_line), cos_a, sin_a) for parity in (0, 1)
-    )
+    return tuple(_direction(line, cos_a, sin_a) for line in _parity_lines(cfg.start_line))
 
 
 def construct_points(cfg: ConstructionConfig) -> PointSeq:
