@@ -22,7 +22,7 @@ _EXPORTS = {
                "EmptyGrid"),
     "geometry": ("EPSILON_EXCLUDE", "TOL_TANGENT", "Line", "Point2", "PointSeq",
                  "ConstructionConfig", "construct_points", "closed_form_point",
-                 "chebyshev_form_point", "line_coordinates", "line_for_index",
+                 "chebyshev_form_point", "line_for_index",
                  "projection_sum", "projection_sums", "segment_direction_angles"),
     "kernels": ("DEFAULT_THRESHOLD", "Family", "Method", "SumSpec", "SumValue", "naive_trig_sum",
                 "naive_running_sums", "lagrange_sum", "halfangle_free_sum", "even_index_sum",

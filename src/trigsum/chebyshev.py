@@ -37,12 +37,15 @@ def chebyshev_u(degree: int, x: FloatOrArray) -> FloatOrArray:
     U_0 = 1, U_1 = 2x, U_{j+1} = 2x U_j - U_{j-1}. Defined for all real x;
     accepts a scalar or an ndarray, and the return type matches the input.
     """
-    degree = _check_degree(degree)
-    x, u_prev = _start(x)
+    return _u(_check_degree(degree), *_start(x))
+
+
+def _u(degree: int, x: FloatOrArray, one: FloatOrArray = 1.0) -> FloatOrArray:
+    """The core of chebyshev_u, for a checked degree; one is U_0 in x's type."""
     if degree == 0:
-        return u_prev
+        return one
     two_x = 2.0 * x  # 2.0 * x * u parses as (2.0 * x) * u: hoisting keeps the bits
-    u = two_x
+    u_prev, u = one, two_x
     for _ in range(degree - 1):
         u_prev, u = u, two_x * u - u_prev
     return u

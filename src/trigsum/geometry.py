@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 from .angle import Angle, Record, _index, _isfinite, _setattr, as_angle, as_count
-from .chebyshev import chebyshev_u
+from .chebyshev import _check_degree, _u, chebyshev_u  # perfbench patches chebyshev_u here
 from .errors import (
     ConstructionImpossible,
     CountOutOfRange,
@@ -106,6 +106,7 @@ def line_for_index(index: int, start_line: Line | str) -> Line:
     A_0 is the intersection point and lies on both lines; it is labeled with
     the even-parity line for consistency.
     """
+    index = as_count(index, "index", least=0)
     even, odd = _parity_lines(Line(start_line))
     return odd if index % 2 == 1 else even
 
@@ -122,28 +123,16 @@ def _direction(line: Line, cos_a: float, sin_a: float) -> tuple[float, float]:
     return cos_a, sin_a
 
 
-def line_coordinates(cfg: ConstructionConfig) -> Iterator[tuple[float, bool]]:
-    """Signed coordinate of A_0 .. A_n along its own line, with tangency flags.
-
-    The returned iterator gives (t, tangent) for each point in index order:
-    A_0 = 0, A_1 = +1, then one recurrence step per point, tangent marking a
-    step where the step circle touched the target line. Opening angles where
-    the construction degenerates (|cos a| or |sin a| below EPSILON_EXCLUDE)
-    are rejected by this call, before any step runs.
-    """
-    rad = cfg.alpha.radians
+def _cos_sin(rad: float) -> tuple[float, float]:
+    """(cos a, sin a), or ExcludedAngle where |cos a| or |sin a| < EPSILON_EXCLUDE."""
     cos_a, sin_a = math.cos(rad), math.sin(rad)
     if abs(cos_a) < EPSILON_EXCLUDE:
-        raise ExcludedAngle(
-            f"|cos(alpha)| = {abs(cos_a):.3e} < {EPSILON_EXCLUDE:.3e}: "
-            "every second point would fall back onto A0/A1"
-        )
+        raise ExcludedAngle(f"|cos(alpha)| = {abs(cos_a):.3e} < {EPSILON_EXCLUDE:.3e}: "
+                            "every second point would fall back onto A0/A1")
     if abs(sin_a) < EPSILON_EXCLUDE:
-        raise ExcludedAngle(
-            f"|sin(alpha)| = {abs(sin_a):.3e} < {EPSILON_EXCLUDE:.3e}: "
-            "the two lines coincide"
-        )
-    return _walk(cos_a, sin_a, cfg.n)
+        raise ExcludedAngle(f"|sin(alpha)| = {abs(sin_a):.3e} < {EPSILON_EXCLUDE:.3e}: "
+                            "the two lines coincide")
+    return cos_a, sin_a
 
 
 def _walk(cos_a: float, sin_a: float, n: int) -> Iterator[tuple[float, bool]]:
@@ -180,23 +169,18 @@ def _walk(cos_a: float, sin_a: float, n: int) -> Iterator[tuple[float, bool]]:
         prev2, prev = prev, t
 
 
-def _point_directions(cfg: ConstructionConfig) -> tuple[tuple[float, float], ...]:
-    """Unit directions of the lines of even- and odd-index points."""
-    rad = cfg.alpha.radians
-    cos_a, sin_a = math.cos(rad), math.sin(rad)
-    return tuple(_direction(line, cos_a, sin_a) for line in _parity_lines(cfg.start_line))
-
-
 def construct_points(cfg: ConstructionConfig) -> PointSeq:
     """Run the construction and return the n+1 points with tangency events.
 
-    Rejects the opening angles line_coordinates rejects. At a tangent step
-    the unique intersection is taken and the step index recorded.
+    Opening angles where the construction degenerates (|cos a| or |sin a|
+    below EPSILON_EXCLUDE) raise ExcludedAngle before any step runs. At a
+    tangent step the unique intersection is taken and the step index recorded.
     """
-    directions = _point_directions(cfg)
+    cos_a, sin_a = _cos_sin(cfg.alpha.radians)
+    directions = [_direction(line, cos_a, sin_a) for line in _parity_lines(cfg.start_line)]
     points = []
     tangencies: list[int] = []
-    for index, (t, tangent) in enumerate(line_coordinates(cfg)):
+    for index, (t, tangent) in enumerate(_walk(cos_a, sin_a, cfg.n)):
         if tangent:
             tangencies.append(index)
         dx, dy = directions[index % 2]
@@ -227,10 +211,14 @@ def chebyshev_form_point(alpha: Angle | float, n: int) -> Point2:
     defined.
     """
     n = as_count(n, "n")
-    rad = as_angle(alpha).radians
+    return Point2(*_chebyshev_form(as_angle(alpha).radians, _check_degree(n - 1)))
+
+
+def _chebyshev_form(rad: float, degree: int) -> tuple[float, float]:
+    """The core of chebyshev_form_point, for a checked degree = n - 1."""
     cos_a = math.cos(rad)
-    u = chebyshev_u(n - 1, cos_a)
-    return Point2(cos_a * u, math.sin(rad) * u)
+    u = _u(degree, cos_a)
+    return cos_a * u, math.sin(rad) * u
 
 
 def projection_sum(seq: PointSeq, target: Line | str, count: int) -> float:
@@ -240,6 +228,7 @@ def projection_sum(seq: PointSeq, target: Line | str, count: int) -> float:
     target line and the projections are accumulated in index order. Onto
     line x the sum telescopes to the x-coordinate of A_count.
     """
+    count = _index(count)
     if count < 1 or count > seq.segment_count:
         raise CountOutOfRange(
             f"count must be in 1..{seq.segment_count}, got {count}"
@@ -259,7 +248,7 @@ def projection_sums(cfg: ConstructionConfig, target: Line | str,
                     counts: Sequence[int]) -> list[float]:
     """projection_sum at each of counts, from one walk of the construction.
 
-    The walk runs line_coordinates up to cfg.n and accumulates the same
+    The walk runs the construction steps up to cfg.n and accumulates the same
     per-segment projections as projection_sum on construct_points(cfg), so
     each returned value has the exact bits of projection_sum at that count,
     without building the points. counts may be unsorted and repeat; the
@@ -268,14 +257,21 @@ def projection_sums(cfg: ConstructionConfig, target: Line | str,
     counts = tuple(map(_index, counts))
     if any(count < 1 or count > cfg.n for count in counts):
         raise CountOutOfRange(f"counts must be in 1..{cfg.n}, got {counts}")
-    rad = cfg.alpha.radians
-    tx, ty = _direction(Line(target), math.cos(rad), math.sin(rad))
-    directions = _point_directions(cfg)
-    wanted = set(counts)
+    totals = _projection_totals(cfg.alpha.radians, cfg.n, cfg.start_line, Line(target), set(counts))
+    return [totals[count] for count in counts]
+
+
+def _projection_totals(rad: float, n: int, start_line: Line, target: Line,
+                       wanted: Container[int]) -> dict[int, float]:
+    """The core of projection_sums, on checked arguments: the running total of
+    the segment projections onto target at each wanted index of one walk to n."""
+    cos_a, sin_a = _cos_sin(rad)
+    tx, ty = _direction(target, cos_a, sin_a)
+    directions = [_direction(line, cos_a, sin_a) for line in _parity_lines(start_line)]
     totals: dict[int, float] = {}
     total = 0.0
     px = py = 0.0
-    for index, (t, _) in enumerate(line_coordinates(cfg)):
+    for index, (t, _) in enumerate(_walk(cos_a, sin_a, n)):
         dx, dy = directions[index % 2]
         x, y = t * dx, t * dy
         if index:
@@ -283,7 +279,7 @@ def projection_sums(cfg: ConstructionConfig, target: Line | str,
             if index in wanted:
                 totals[index] = total
         px, py = x, y
-    return [totals[count] for count in counts]
+    return totals
 
 
 def segment_direction_angles(seq: PointSeq) -> list[float]:

@@ -13,7 +13,8 @@ from enum import Enum
 
 from .angle import Record, as_count, inclusive_grid
 from .formatting import csv_text, fmt12, json_line
-from .geometry import TWO_PI, chebyshev_form_point
+from .chebyshev import _check_degree
+from .geometry import TWO_PI, _chebyshev_form, chebyshev_form_point  # perfbench patches the last
 
 
 class EmitFormat(Enum):
@@ -40,10 +41,9 @@ def orbit_samples(
 ) -> OrbitCurve:
     """Sample the orbit of A_n uniformly, inclusive of both endpoints."""
     n = as_count(n, "n")
-    samples = []
-    for a in inclusive_grid(alpha_min, alpha_max, steps, "alpha"):
-        p = chebyshev_form_point(a, n)
-        samples.append((a, p.x, p.y))
+    grid = inclusive_grid(alpha_min, alpha_max, steps, "alpha")
+    degree = _check_degree(n - 1)  # after the range check, so BadRange comes first
+    samples = [(a, *_chebyshev_form(a, degree)) for a in grid]
     # float bounds render like the samples: 1e+17, not 100000000000000000
     return OrbitCurve(n, float(alpha_min), float(alpha_max), steps, tuple(samples))
 

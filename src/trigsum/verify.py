@@ -19,7 +19,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from . import kernels
-from .angle import Angle, as_counts, inclusive_grid
+from .angle import as_counts, inclusive_grid
 from .errors import EmptyGrid, TrigsumError
 from .formatting import csv_text, json_line
 
@@ -134,15 +134,14 @@ def _projection_vs_closed_form(counts: Sequence[int]) -> _Rule:
     # side runs first, so a count no float can hold raises before the walk.
     terminal = kernels.ROUTES["x_terminal"]
     ns = [2 * k + 2 for k in counts]
-    n_max = max(ns)
+    n_max, wanted = max(ns), set(ns)
 
     def rule(rad: float, guard: float) -> list[float]:
         den = terminal.checked(rad, guard)
         kernels._guard(math.cos(rad), guard, "cos(alpha)")
         rhs = [terminal.evaluate(rad, den, k) for k in counts]
-        cfg = geometry.ConstructionConfig(Angle(rad), n_max)
-        lhs = geometry.projection_sums(cfg, geometry.Line.X, ns)
-        return [x - r for x, r in zip(lhs, rhs)]
+        totals = geometry._projection_totals(rad, n_max, geometry.Line.X, geometry.Line.X, wanted)
+        return [totals[n] - r for n, r in zip(ns, rhs)]
 
     return rule
 
@@ -196,11 +195,12 @@ def residual_sweep(
     DecompositionVsHalfangle. Each angle then costs the pair's denominators
     and their guard once, one ordered naive pass up to max(counts) for the
     oracle pairs, one construction walk up to n = 2 max(counts) + 2 for the
-    projection pair, and two sines per count, sin((2k+1) a) and sin(2k a),
-    shared by DecompositionVsHalfangle's three closed forms. Plan memory is
-    O(len(counts)), and so is memory per angle. The statistics accumulate
-    point by point in grid order, so every report is byte for byte the one
-    a per-point evaluation of the same pair gives.
+    projection pair (on geometry's private core: no Angle, ConstructionConfig
+    or count check per angle), and two sines per count, sin((2k+1) a) and
+    sin(2k a), shared by DecompositionVsHalfangle's three closed forms. Plan
+    memory is O(len(counts)), and so is memory per angle. The statistics
+    accumulate point by point in grid order, so every report is byte for
+    byte the one a per-point evaluation of the same pair gives.
 
     Per-point rows are kept, in canonical order (angle-major, count-minor),
     only when keep_rows is true; otherwise rows is None at any grid size.

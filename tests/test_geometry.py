@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigsum import (
+    MAX_DEGREE,
     Angle,
     ConstructionConfig,
     CountOutOfRange,
+    DegreeTooLarge,
     ExcludedAngle,
     Line,
     SingularAngle,
     chebyshev_form_point,
     closed_form_point,
     construct_points,
-    line_coordinates,
     line_for_index,
     projection_sum,
     projection_sums,
@@ -27,6 +28,9 @@ TWO_PI = 2.0 * math.pi
 
 # Angles safely away from the excluded sets, spread over (0, 2 pi).
 REGULAR_ANGLES = [0.11, 0.5, 0.9, 1.3, 2.0, 2.8, 3.5, 4.2, 5.0, 5.9]
+
+# Angles where the construction degenerates: |cos a| or |sin a| below 1e-8.
+EXCLUDED_ANGLES = [math.pi / 2, 3 * math.pi / 2, math.pi, TWO_PI, 1e-9]
 
 
 def build(alpha, n, start=Line.X):
@@ -74,7 +78,7 @@ def test_pi_over_4_tangency():
     assert math.hypot(a3.x - a1.x, a3.y - a1.y) <= 1e-12
 
 
-@pytest.mark.parametrize("alpha", [math.pi / 2, 3 * math.pi / 2, math.pi, TWO_PI, 1e-9])
+@pytest.mark.parametrize("alpha", EXCLUDED_ANGLES)
 def test_excluded_angles(alpha):
     with pytest.raises(ExcludedAngle):
         build(alpha, 2)
@@ -139,6 +143,16 @@ def test_closed_form_singular_angle():
         closed_form_point(math.pi, 2)
     with pytest.raises(ValueError):
         closed_form_point(1.0, 0)
+
+
+def test_chebyshev_form_point_check_order():
+    # n, then the angle, then the degree n - 1
+    with pytest.raises(ValueError, match="n must be"):
+        chebyshev_form_point(math.inf, 0)
+    with pytest.raises(ValueError, match="finite"):
+        chebyshev_form_point(math.inf, MAX_DEGREE + 2)
+    with pytest.raises(DegreeTooLarge):
+        chebyshev_form_point(0.5, MAX_DEGREE + 2)
 
 
 def test_chebyshev_form_examples():
@@ -210,26 +224,6 @@ def test_projection_count_bounds():
 
 @pytest.mark.parametrize("start", list(Line))
 @pytest.mark.parametrize("alpha", [math.pi / 4, -math.pi / 3, *REGULAR_ANGLES, 41.3])
-def test_line_coordinates_reproduce_construction(alpha, start):
-    cfg = ConstructionConfig(Angle(alpha), 300, start)
-    seq = construct_points(cfg)
-    walk = list(line_coordinates(cfg))
-    assert len(walk) == len(seq.points)
-    assert tuple(i for i, (_, tangent) in enumerate(walk) if tangent) == seq.tangency_events
-    cos_a, sin_a = math.cos(alpha), math.sin(alpha)
-    for i, ((t, _), p) in enumerate(zip(walk, seq.points)):
-        dx, dy = (1.0, 0.0) if line_for_index(i, start) is Line.X else (cos_a, sin_a)
-        assert (t * dx).hex() == p.x.hex()
-        assert (t * dy).hex() == p.y.hex()
-
-
-def test_line_coordinates_reject_before_walking():
-    with pytest.raises(ExcludedAngle):
-        line_coordinates(ConstructionConfig(Angle(math.pi / 2), 5))
-
-
-@pytest.mark.parametrize("start", list(Line))
-@pytest.mark.parametrize("alpha", [math.pi / 4, -math.pi / 3, 0.11, 2.8, 5.9])
 def test_projection_sums_match_projection_sum(alpha, start):
     cfg = ConstructionConfig(Angle(alpha), 120, start)
     seq = construct_points(cfg)
@@ -247,6 +241,21 @@ def test_projection_sums_count_bounds():
         projection_sums(cfg, Line.X, (1, 0))
     with pytest.raises(CountOutOfRange):
         projection_sums(cfg, Line.X, (4,))
+
+
+@pytest.mark.parametrize("alpha", EXCLUDED_ANGLES)
+def test_projection_sums_reject_excluded_angle(alpha):
+    with pytest.raises(ExcludedAngle):
+        projection_sums(ConstructionConfig(Angle(alpha), 5), Line.X, (1, 5))
+
+
+def test_projection_sums_check_order():
+    # the counts, then the target line, then the angle
+    cfg = ConstructionConfig(Angle(math.pi / 2), 5)
+    with pytest.raises(CountOutOfRange):
+        projection_sums(cfg, "bogus", (6,))
+    with pytest.raises(ValueError, match="bogus"):
+        projection_sums(cfg, "bogus", (5,))
 
 
 def test_direction_angles_pi_over_3():

@@ -39,6 +39,9 @@ INTAKE = {
     "projection-sums-float-count": (
         lambda: projection_sums(ConstructionConfig(0.9, 5), Line.X, (2.5,)), TypeError),
     "closed-form-point-float-n": (lambda: closed_form_point(0.5, 2.5), TypeError),
+    "projection-sum-float-count": (lambda: projection_sum(SEQ, Line.X, 0.5), TypeError),
+    "line-for-float-index": (lambda: line_for_index(1.5, "x"), TypeError),
+    "line-for-negative-index": (lambda: line_for_index(-1, "x"), ValueError),
     "running-sums-family-value": (lambda: naive_running_sums(1.0, "even", (3,)),
                                   lambda: naive_running_sums(1.0, Family.EVEN, (3,))),
     "running-sums-bogus-family": (lambda: naive_running_sums(1.0, "bogus", (3,)), ValueError),

@@ -7,9 +7,11 @@ import re
 import pytest
 
 from trigsum import (
+    MAX_DEGREE,
     Angle,
     BadRange,
     ConstructionConfig,
+    DegreeTooLarge,
     EmitFormat,
     chebyshev_form_point,
     construct_points,
@@ -46,11 +48,14 @@ def test_sample_at_pi_over_2():
     assert y == pytest.approx(-1.0, abs=1e-15)
 
 
-def test_samples_equal_coordinate_form_exactly():
-    curve = orbit_samples(7, 0.3, 5.1, 17)
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_samples_equal_coordinate_form_exactly(n):
+    # the grid passes through 0 and pi; n = 1 evaluates U_0
+    curve = orbit_samples(n, 0.0, TWO_PI, 33)
+    assert curve.samples[0][0] == 0.0 and curve.samples[16][0] == math.pi
     for a, x, y in curve.samples:
-        p = chebyshev_form_point(a, 7)
-        assert (x, y) == (p.x, p.y)
+        p = chebyshev_form_point(a, n)
+        assert (x.hex(), y.hex()) == (p.x.hex(), p.y.hex())
 
 
 def test_orbit_crosses_singular_angles_without_gaps():
@@ -88,6 +93,11 @@ def test_range_validation():
         orbit_samples(2, 0.0, math.inf, 4)
     with pytest.raises(ValueError):
         orbit_samples(0, 0.0, 1.0, 4)
+    # the degree n - 1 is checked once, after the range
+    with pytest.raises(DegreeTooLarge):
+        orbit_samples(MAX_DEGREE + 2, 0.0, 1.0, 3)
+    with pytest.raises(BadRange):
+        orbit_samples(MAX_DEGREE + 2, 1.0, 0.5, 3)
 
 
 def test_csv_emission():
