@@ -18,8 +18,7 @@ _EXPORTS = {
     "bench": ("BENCH_PHI", "BenchResult", "measure"),
     "chebyshev": ("MAX_DEGREE", "chebyshev_u", "u_sequence"),
     "errors": ("TrigsumError", "ExcludedAngle", "SingularAngle", "SingularDenominator",
-               "ConstructionImpossible", "CountOutOfRange", "DegreeTooLarge", "BadRange",
-               "EmptyGrid"),
+               "CountOutOfRange", "DegreeTooLarge", "BadRange", "EmptyGrid"),
     "geometry": ("EPSILON_EXCLUDE", "TOL_TANGENT", "Line", "Point2", "PointSeq",
                  "ConstructionConfig", "construct_points", "closed_form_point",
                  "chebyshev_form_point", "line_for_index",

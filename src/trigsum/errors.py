@@ -17,14 +17,6 @@ class SingularDenominator(TrigsumError):
     """Closed-form denominator magnitude below the singularity threshold."""
 
 
-class ConstructionImpossible(TrigsumError):
-    """No circle-line intersection exists.
-
-    Analytically unreachable for admissible angles; raised only to surface an
-    internal consistency bug instead of producing garbage coordinates.
-    """
-
-
 class CountOutOfRange(TrigsumError):
     """Requested segment count outside the available range."""
 

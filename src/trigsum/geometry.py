@@ -13,16 +13,12 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import cycle, islice
 from typing import Container, Iterator, Sequence
 
 from .angle import Angle, Record, _index, _isfinite, _setattr, as_angle, as_count
 from .chebyshev import _check_degree, _u, chebyshev_u  # perfbench patches chebyshev_u here
-from .errors import (
-    ConstructionImpossible,
-    CountOutOfRange,
-    ExcludedAngle,
-    SingularAngle,
-)
+from .errors import CountOutOfRange, ExcludedAngle, SingularAngle
 from .formatting import csv_text, json_line
 
 #: Rejection tolerance for degenerate opening angles. Near |cos a| = 0 every
@@ -30,8 +26,9 @@ from .formatting import csv_text, json_line
 #: coincide and the alternating rule is ill-defined.
 EPSILON_EXCLUDE = 1e-8
 
-#: Tangency threshold on the circle-line discriminant (square-root rounding
-#: noise scale at unit magnitudes).
+#: Tangency threshold on the circle-line discriminant. Below it a step takes
+#: the other root from the sum of the roots, not from the square root, whose
+#: rounding error grows like eps/sqrt(disc) as the circle nears tangency.
 TOL_TANGENT = 1e-10
 
 TWO_PI = 2.0 * math.pi
@@ -71,8 +68,9 @@ class PointSeq(Record):
     """An ordered construction run A_0 .. A_n.
 
     points[l] is A_l; it lies on line_for_index(l, start_line).
-    tangency_events lists the step indices where the step circle was tangent
-    to the target line, forcing A_l = A_{l-2} despite the exclusion rule.
+    tangency_events lists the step indices l whose step circle was tangent to
+    the target line within TOL_TANGENT: there both roots lie next to A_{l-2},
+    and the step takes A_l from their sum.
     """
 
     __slots__ = ("alpha", "start_line", "points", "tangency_events")
@@ -135,37 +133,37 @@ def _cos_sin(rad: float) -> tuple[float, float]:
     return cos_a, sin_a
 
 
-def _walk(cos_a: float, sin_a: float, n: int) -> Iterator[tuple[float, bool]]:
-    """The construction steps, in line coordinates.
+def _walk(cos_a: float, sin_a: float, n: int,
+          start_line: Line) -> Iterator[tuple[float, float, bool]]:
+    """The construction core: the plane points A_0 .. A_n, for a checked
+    (cos a, sin a), as (x, y, is_tangent).
 
     At each step the current point sits at signed coordinate s = prev on the
     other line; a candidate at coordinate t on the target line is at unit
     distance exactly when t^2 - 2 t s cos(a) + s^2 - 1 = 0 (both lines pass
     through the origin with opening angle a). A_{l-2} is itself a root of
     this quadratic, so preferring the intersection farther from it picks the
-    other root. Yields (t, is_tangent).
+    other root. Where the discriminant is below TOL_TANGENT that root is
+    2 s cos(a) - t_{l-2}, from the sum of the roots. A_1 lies on start_line
+    and the lines alternate, so each t is placed along its line's direction.
     """
     tol_tangent = TOL_TANGENT  # read at every step, so bound as a local
+    even, odd = (_direction(line, cos_a, sin_a) for line in _parity_lines(start_line))
     prev2, prev = 0.0, 1.0
-    yield prev2, False
-    yield prev, False
-    for _ in range(2, n + 1):
+    yield prev2 * even[0], prev2 * even[1], False
+    yield prev * odd[0], prev * odd[1], False
+    for dx, dy in islice(cycle((even, odd)), n - 1):
         proj = prev * cos_a
         perp = prev * sin_a  # signed distance from the current point to the target line
         disc = 1.0 - perp * perp  # squared half-chord
-        if disc >= tol_tangent:
+        tangent = disc < tol_tangent
+        if tangent:
+            t = 2.0 * proj - prev2
+        else:
             half = math.sqrt(disc)
             lo, hi = proj - half, proj + half
             t = hi if abs(hi - prev2) >= abs(lo - prev2) else lo
-            yield t, False
-        elif abs(perp) <= 1.0 + tol_tangent:
-            t = proj
-            yield t, True
-        else:
-            raise ConstructionImpossible(
-                f"point-to-line distance {abs(perp)!r} exceeds 1 + tol: the unit circle "
-                "misses the target line, which is unreachable for admissible angles"
-            )
+        yield t * dx, t * dy, tangent
         prev2, prev = prev, t
 
 
@@ -173,18 +171,16 @@ def construct_points(cfg: ConstructionConfig) -> PointSeq:
     """Run the construction and return the n+1 points with tangency events.
 
     Opening angles where the construction degenerates (|cos a| or |sin a|
-    below EPSILON_EXCLUDE) raise ExcludedAngle before any step runs. At a
-    tangent step the unique intersection is taken and the step index recorded.
+    below EPSILON_EXCLUDE) raise ExcludedAngle before any step runs. Every
+    step has a root; the index of each tangent step is recorded.
     """
     cos_a, sin_a = _cos_sin(cfg.alpha.radians)
-    directions = [_direction(line, cos_a, sin_a) for line in _parity_lines(cfg.start_line)]
     points = []
     tangencies: list[int] = []
-    for index, (t, tangent) in enumerate(_walk(cos_a, sin_a, cfg.n)):
+    for index, (x, y, tangent) in enumerate(_walk(cos_a, sin_a, cfg.n, cfg.start_line)):
         if tangent:
             tangencies.append(index)
-        dx, dy = directions[index % 2]
-        points.append(Point2(t * dx, t * dy))
+        points.append(Point2(x, y))
     return PointSeq(cfg.alpha, cfg.start_line, tuple(points), tuple(tangencies))
 
 
@@ -267,17 +263,14 @@ def _projection_totals(rad: float, n: int, start_line: Line, target: Line,
     the segment projections onto target at each wanted index of one walk to n."""
     cos_a, sin_a = _cos_sin(rad)
     tx, ty = _direction(target, cos_a, sin_a)
-    directions = [_direction(line, cos_a, sin_a) for line in _parity_lines(start_line)]
     totals: dict[int, float] = {}
     total = 0.0
-    px = py = 0.0
-    for index, (t, _) in enumerate(_walk(cos_a, sin_a, n)):
-        dx, dy = directions[index % 2]
-        x, y = t * dx, t * dy
-        if index:
-            total += (x - px) * tx + (y - py) * ty
-            if index in wanted:
-                totals[index] = total
+    points = _walk(cos_a, sin_a, n, start_line)
+    px, py, _ = next(points)
+    for index, (x, y, _) in enumerate(points, 1):
+        total += (x - px) * tx + (y - py) * ty
+        if index in wanted:
+            totals[index] = total
         px, py = x, y
     return totals
 

@@ -208,10 +208,7 @@ def residual_sweep(
     raises a domain error (possible only with guard below the kernels'
     exact-zero check or the construction's exclusion rule), counts all its
     grid points as skipped, so evaluated + skipped always equals the grid
-    size. Every such error depends on the angle alone, except
-    ConstructionImpossible, which is unreachable for admissible angles:
-    should it occur, the whole angle is skipped, also the counts whose
-    shorter walks stop before the failing step.
+    size. Every such error depends on the angle alone.
     """
     pair = ResidualPair(pair)
     counts = grid.counts

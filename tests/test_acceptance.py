@@ -82,7 +82,7 @@ def test_04_even_odd_decomposition(capsys):
 
 def _geometry_angles():
     # Rational multiples of pi keep every step discriminant of the n=1000
-    # walk above 6e-7, so no tangency snap can leak error into the drift
+    # walk above 6e-7, so no near-tangent step can leak error into the drift
     # measurements; the 0.01 cutoffs satisfy the 1e-3 guard with margin.
     denom = 1999
     candidates = []

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,7 +69,7 @@ def test_pi_over_3_walk():
 
 def test_pi_over_4_tangency():
     # at a = pi/4 the second point sits at height 1, so the next unit circle
-    # is tangent to line x and the walk is forced back onto A1
+    # is tangent to line x and both roots of the step are A1
     seq = build(math.pi / 4, 3)
     assert seq.tangency_events == (3,)
     a2 = seq.points[2]
@@ -76,6 +77,32 @@ def test_pi_over_4_tangency():
     assert a2.y == pytest.approx(1.0, abs=1e-12)
     a1, a3 = seq.points[1], seq.points[3]
     assert math.hypot(a3.x - a1.x, a3.y - a1.y) <= 1e-12
+
+
+#: Angles whose walk comes near tangency: pi/4, pi/6 and 3 pi/10 reach
+#: |sin(l a)| = 1 at some l, exactly and nudged off it. Of two angles of the
+#: 500-angle projection grid, the first takes a tangent step (329) and the
+#: second comes within a discriminant of 1.1e-9, just above TOL_TANGENT.
+TANGENT_ANGLES = [
+    *(base * scale for base in (math.pi / 4, math.pi / 6, 3 * math.pi / 10)
+      for scale in (1.0, 1 + 3e-12)),
+    5.7994949549726007,
+    3.432784747214483,
+]
+
+
+@pytest.mark.parametrize("alpha", TANGENT_ANGLES)
+def test_walk_through_tangent_steps_matches_mpmath(alpha):
+    # A_l is (sin(l a) / sin a) times the direction of its line; a tangent
+    # step that lands off the true root carries its error into every later point
+    seq = build(alpha, 10**4)
+    with mpmath.workprec(100):
+        a = mpmath.mpf(alpha)
+        cos_a, sin_a = mpmath.cos(a), mpmath.sin(a)
+        for l, p in enumerate(seq.points):
+            t = mpmath.sin(l * a) / sin_a
+            x, y = (t, 0.0) if l % 2 else (t * cos_a, t * sin_a)
+            assert abs(p.x - x) <= 1e-9 and abs(p.y - y) <= 1e-9, l
 
 
 @pytest.mark.parametrize("alpha", EXCLUDED_ANGLES)

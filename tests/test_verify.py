@@ -337,12 +337,15 @@ def test_guarded_identity_grid_skips_and_keeps_angles_for_every_pair():
         assert report.skipped > 0 and report.evaluated > 0, pair
 
 
-def test_projection_sweep_with_tangency_snaps_is_byte_identical():
-    # the 500-angle projection grid: its tangency snaps leave residuals ~1e-5
+def test_projection_sweep_through_tangent_steps_is_accurate_and_byte_identical():
+    # the 500-angle projection grid: 6 of its walks take a tangent step, which
+    # must land on the other root; a step to the foot of the perpendicular
+    # leaves residuals ~1e-5
     grid = GridSpec(0.05, TWO_PI - 0.05, 500, (1, 10, 50, 100, 249))
     report = residual_sweep(grid, ResidualPair.PROJECTION_VS_CLOSED_FORM, keep_rows=True)
     expected = reference_sweep(grid, ResidualPair.PROJECTION_VS_CLOSED_FORM)
-    assert report.max_abs_residual > 1e-6
+    assert (report.evaluated, report.skipped) == (2470, 30)
+    assert report.max_abs_residual <= 1e-10
     assert report.to_json() == expected.to_json()
     assert report.to_csv() == expected.to_csv()
 

@@ -40,7 +40,7 @@ def test_construct_csv_readme_case():
         "0,e,0,0\n"
         "1,x,1,0\n"
         "2,e,1.0000000000000002,1\n"
-        "3,x,1.0000000000000002,0\n"
+        "3,x,1.0000000000000004,0\n"
     )
 
 
@@ -48,7 +48,7 @@ def test_construct_json_readme_case_with_tangency():
     out = cli_stdout("construct", "--alpha", QUARTER_PI, "--n", "3", "--format", "json")
     assert out == (
         '{"alpha": 0.78539816339744828, "start_line": "x", "points": [[0, "e", 0, 0], '
-        '[1, "x", 1, 0], [2, "e", 1.0000000000000002, 1], [3, "x", 1.0000000000000002, 0]], '
+        '[1, "x", 1, 0], [2, "e", 1.0000000000000002, 1], [3, "x", 1.0000000000000004, 0]], '
         '"tangency_events": [3]}\n'
     )
 

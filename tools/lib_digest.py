@@ -28,6 +28,9 @@ MIXED_COUNTS = "(9, 1, 1000, 9, 64, 2)"
 KERNELS = ("lagrange_sum", "halfangle_free_sum", "even_index_sum", "odd_index_sum")
 #: pi/4 takes a tangent step; the other two angles are generic.
 CONSTRUCTION_ANGLES = (repr(math.pi / 4), "0.9", "2.5")
+#: An angle of the 500-angle projection grid whose walk comes within
+#: TOL_TANGENT of tangency at step 329.
+NEAR_TANGENT = "5.799494954972601"
 #: A generic grid, one with guard 0 (which reaches exact zeros of the sines),
 #: one with unsorted, repeated counts, and one that the guard empties.
 GRIDS = (
@@ -103,6 +106,10 @@ def calls() -> list[str]:
         "emit(orbit_samples(3, steps=33), 'csv')",
         "residual_sweep(GridSpec(0.1, 3.0, 5, (1, 4)), 'LagrangeVsNaive').to_json()",
     ]
+    # a step that misses the other root at step 329 moves every later point
+    out += [f"projection_sums(ConstructionConfig({NEAR_TANGENT}, 500), Line.{line}, (500, 4, 330))"
+            for line in ("X", "E")]
+    out.append(f"construct_points(ConstructionConfig({NEAR_TANGENT}, 500)).to_json()")
     return out
 
 
