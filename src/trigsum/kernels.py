@@ -10,8 +10,12 @@ Each family has a closed form whose denominator (sin(phi/2) or sin(phi) or
 sin(alpha)) vanishes on a measure-zero singular set; near it the closed form
 amplifies rounding error like 1/|denominator|, so sum_auto falls back to the
 literal term-by-term sum when the denominator magnitude drops below a policy
-threshold. ROUTES records each closed form with the sine it divides by; the
-kernels, sum_auto, the sweeps and the CLI all take it from there.
+threshold. That fallback is the literal sum of the same terms at the angle
+reduced exactly by the family's period, so its term arguments stay small
+however large the angle; naive_trig_sum and the running sums stay the
+literal loop at the angle they are given. ROUTES records each closed form
+with the sine it divides by; the kernels, sum_auto, the sweeps and the CLI
+all take it from there.
 """
 
 from __future__ import annotations
@@ -118,6 +122,41 @@ def _add_terms(total: float, rad: float, multiples: range) -> float:
     for mult in multiples:
         total += cos(mult * rad)
     return total
+
+
+#: floor(pi * 2**_PI_SHIFT), pi to 2400 bits: the remainder of any finite
+#: double modulo pi then stays exact to far below its last bit.
+_PI_SHIFT = 2400
+_PI = int(
+    "3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c8"
+    "9452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091"
+    "79216d5d98979fb1bd1310ba698dfb5ac2ffd72dbd01adfb7b8e1afed6a267e9"
+    "6ba7c9045f12c7f9924a19947b3916cf70801f2e2858efc16636920d871574e6"
+    "9a458fea3f4933d7e0d95748f728eb658718bcd5882154aee7b54a41dc25a59b"
+    "59c30d5392af26013c5d1b023286085f0ca417918b8db38ef8e79dcb0603a180"
+    "e6c9e0e8bb01e8a3ed71577c1bd314b2778af2fda55605c60e65525f3aa55ab9"
+    "45748986263e8144055ca396a2aab10b6b4cc5c341141e8cea15486af7c72e99"
+    "3b3ee1411636fbc2a2ba9c55d741831f6ce5c3e169b87931eafd6ba336c24cf5"
+    "c7a325381289586773b8f4898", 16)
+
+
+def _reduced(rad: float, family: Family) -> tuple[float, float]:
+    """rad less its nearest multiple j of the family's period, rounded once,
+    and the sign its terms change by: (r, 1.0) for the full family (period
+    2 pi) and the even one (pi), (r, (-1)**j) for the odd one (pi).
+
+    Exact for every finite double: j comes from integer floor division
+    against _PI, never from a rounded quotient, and the one rounding is the
+    int / int division at the end. |r| <= period / 2, and r is rad itself
+    when j = 0.
+    """
+    num, den = rad.as_integer_ratio()  # den is a power of two
+    period = _PI << 1 if family is _FULL else _PI  # the period times 2**_PI_SHIFT
+    scaled = num << _PI_SHIFT  # rad * den * 2**_PI_SHIFT
+    step = den * period
+    j = (2 * scaled + step) // (2 * step)  # floor(rad / period + 1/2)
+    r = (scaled - j * step) / (den << _PI_SHIFT)
+    return r, -1.0 if j & 1 and family is Family.ODD else 1.0
 
 
 def naive_trig_sum(spec: SumSpec) -> float:
@@ -326,11 +365,15 @@ def sum_auto(
 
     full_form selects the closed form for the full family (one of
     FULL_FORMS); the even/odd families have one form each. When the relevant
-    denominator magnitude is below threshold the literal sum is returned with
-    method=NaiveFallback. Defined for every finite angle whose largest scaled
-    argument, about count * |phi| (2k * |alpha| for the even/odd families),
-    is finite too; beyond that the sine or cosine raises ValueError
-    ("math domain error").
+    denominator magnitude, taken at the given angle, is below threshold, the
+    result has method=NaiveFallback: the literal sum of the same terms at the
+    angle reduced exactly by the family's period (2 pi for the full family,
+    pi for the even and odd ones, whose sign (-1)**j it applies), so within
+    m * (top * |reduced| + m) * 2**-52 of the true sum, top being the largest
+    multiple, for every finite angle. The closed forms run at the given
+    angle: they are defined where the largest scaled argument, about
+    count * |phi| (2k * |alpha| for the even/odd families), is finite too;
+    beyond that the sine or cosine raises ValueError ("math domain error").
     """
     if not threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -342,5 +385,7 @@ def sum_auto(
     den = route.denominator(rad)
     proximity = abs(den)
     if proximity < threshold:
-        return SumValue(naive_trig_sum(spec), _NAIVE_FALLBACK, proximity)
+        r, sign = _reduced(rad, family)
+        total = _add_terms(0.0, r, _multiples(family, 0, spec.count))
+        return SumValue(sign * total, _NAIVE_FALLBACK, proximity)
     return SumValue(route.evaluate(rad, den, spec.count), _CLOSED_FORM, proximity)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from trigsum import Angle, SumSpec, halfangle_free_sum, lagrange_sum, naive_trig_sum
@@ -513,3 +514,25 @@ def test_negative_exponent_angle_sums_at_that_angle(capsys):
     code, out = run_capture(capsys, ["sum", "--phi", "-1e-5", "--m", "3", "--method", "naive"])
     assert code == 0
     assert json.loads(out)["value"] == naive_trig_sum(SumSpec(Angle(-1e-5), 3))
+
+
+def test_sum_auto_fallback_sums_at_the_reduced_angle(capsys):
+    # k = 10**4 is even, so phi reduces by 2*pi*5000 to r, about 5e-5
+    m, phi = 10**4, 10**4 * math.pi + 5e-5
+    code, out = run_capture(capsys, ["sum", "--phi", repr(phi), "--m", str(m), "--method", "auto"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "NaiveFallback"
+    with mpmath.workprec(200):
+        a = mpmath.mpf(phi)
+        exact = (mpmath.sin((m + mpmath.mpf(0.5)) * a) / mpmath.sin(a / 2) - 1) / 2
+        r = float(a - 10**4 * mpmath.pi)
+        error = abs(mpmath.mpf(payload["value"]) - exact)
+    assert error <= m * (m * abs(r) + m) * 2.0**-52
+
+    code, out = run_capture(capsys, ["sum", "--phi", repr(phi), "--m", str(m), "--method", "naive"])
+    assert code == 0
+    literal = 0.0
+    for l in range(1, m + 1):
+        literal += math.cos(l * phi)
+    assert json.loads(out)["value"].hex() == literal.hex()

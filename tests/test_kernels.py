@@ -24,7 +24,7 @@ from trigsum import (
     sum_auto,
     x_coordinate_identity,
 )
-from trigsum.kernels import RunningSumPlan
+from trigsum.kernels import _PI, _PI_SHIFT, RunningSumPlan, _reduced
 
 PI = math.pi
 
@@ -402,3 +402,115 @@ def test_sum_auto_domain_ends_where_the_scaled_argument_overflows(full_form):
         with pytest.raises(ValueError, match="math domain error"):
             sum_auto(SumSpec(Angle(1e308), 5, family), full_form=full_form)
     assert math.isfinite(sum_auto(SumSpec(Angle(1e307), 5), full_form=full_form).value)
+
+
+def machin_pi(bits: int, guard: int = 64) -> int:
+    """floor(pi * 2**bits) from Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239),
+    with each arctangent series summed in integers carrying guard extra bits."""
+    one = 1 << (bits + guard)
+
+    def atan_inv(x: int) -> int:  # atan(1/x) * one, each term truncated
+        total, power, n, sign = 0, one // x, 1, 1
+        while power:
+            total += sign * (power // n)
+            power, n, sign = power // (x * x), n + 2, -sign
+        return total
+
+    scaled = 16 * atan_inv(5) - 4 * atan_inv(239)
+    # under 1000 truncated terms, each off by under 2: the guard bits hold the
+    # error, and the floor is right unless they sit within it of a boundary
+    low = scaled & ((1 << guard) - 1)
+    assert 2**16 < low < 2**guard - 2**16
+    return scaled >> guard
+
+
+def test_committed_pi_regenerates_from_machins_formula():
+    assert _PI_SHIFT >= 2400
+    assert _PI == machin_pi(_PI_SHIFT)
+
+
+def exact_remainder(rad, family):
+    """(rad - j * period, j) to 4000 bits, for the integer j nearest rad / period."""
+    with mpmath.workprec(4000):
+        x = mpmath.mpf(rad)
+        period = 2 * mpmath.pi if family is Family.FULL else mpmath.pi
+        j = int(mpmath.floor(x / period + mpmath.mpf(0.5)))
+        return x - j * period, j
+
+
+def rounded(value):
+    """value rounded once to the nearest double (normal range)."""
+    with mpmath.workprec(53):
+        return float(+value)
+
+
+#: Doubles near 1e300 within 1e-4 of a multiple of pi; the second is near an
+#: even multiple, so sin(phi/2) is small there too.
+HUGE = (1.0000000000024084e+300, 1.0000000000033748e+300, 1.0000000000067346e+300)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_reduced_is_the_correctly_rounded_exact_remainder(family):
+    near_k_pi = [sign * k * PI + offset
+                 for k in (1, 2, 3, 7, 1000, 1001, 12345, 10**6 - 1, 10**6)
+                 for sign in (1, -1) for offset in (0.0, 5e-5, -5e-5, 1e-9, -3e-6)]
+    for rad in near_k_pi + [2.5, -2.5, 123456.789, 1e300, 1e308, -1e308,
+                            1.7976931348623157e308, *HUGE, -HUGE[0]]:
+        exact, j = exact_remainder(rad, family)
+        expected = (rounded(exact), -1.0 if family is Family.ODD and j % 2 else 1.0)
+        assert _reduced(rad, family) == expected, rad
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_reduced_keeps_the_bits_within_the_first_half_period(family):
+    half = PI if family is Family.FULL else PI / 2
+    for rad in (0.0, 5e-324, -5e-324, 1e-300, 1e-9, 1.0, -1.0, 1.5, -1.5, 0.999 * half,
+                -0.999 * half, math.nextafter(half, 0.0)):
+        r, sign = _reduced(rad, family)
+        assert (r.hex(), sign) == (rad.hex(), 1.0)
+
+
+def test_reduced_odd_family_changes_sign_with_odd_multiples():
+    for k in (1, 3, 1001, 10**6 - 1, -1, -999):
+        rad = k * PI + 5e-5
+        assert _reduced(rad, Family.ODD) == (_reduced(rad, Family.EVEN)[0], -1.0)
+        assert _reduced(rad + PI, Family.ODD)[1] == 1.0
+    assert _reduced(HUGE[0], Family.ODD)[1] == -1.0
+
+
+def true_sum(rad, count, family):
+    """The family's sum at the double rad by its closed form, at 4000 bits."""
+    with mpmath.workprec(4000):
+        a = mpmath.mpf(rad)
+        if family is Family.FULL:
+            return (mpmath.sin((count + mpmath.mpf(0.5)) * a) / mpmath.sin(a / 2) - 1) / 2
+        if family is Family.EVEN:
+            return (mpmath.sin((2 * count + 1) * a) / mpmath.sin(a) - 1) / 2
+        return mpmath.sin(2 * count * a) / (2 * mpmath.sin(a))
+
+
+FALLBACK_ANGLES = [sign * k * PI + offset for k in (1, 2, 3, 10, 1000, 12345, 10**6)
+                   for sign in (1, -1) for offset in (5e-5, -9e-5, 3e-6)] + [*HUGE, -HUGE[1]]
+
+
+@pytest.mark.parametrize("family, form", [(Family.FULL, "halfangle"), (Family.FULL, "lagrange"),
+                                          (Family.EVEN, "halfangle"), (Family.ODD, "halfangle")])
+def test_fallback_within_the_naive_bound_at_the_reduced_angle(family, form):
+    # The bound of test_naive_within_its_error_bound_of_an_mpmath_reference at
+    # the reduced angle r: rounding r once moves each term argument by at most
+    # top*|r|*u more, which the bound's factor 2 on m*top*|r|*u already holds.
+    checked = 0
+    for rad in FALLBACK_ANGLES:
+        for count in (1, 9, 1000, 10**4):
+            result = sum_auto(spec(rad, count, family), full_form=form)
+            if form == "lagrange" and result.method is Method.CLOSED_FORM:
+                continue  # sin(phi/2) is regular near the odd multiples of pi
+            assert result.method is Method.NAIVE_FALLBACK
+            top = {Family.FULL: count, Family.EVEN: 2 * count, Family.ODD: 2 * count - 1}[family]
+            r = rounded(exact_remainder(rad, family)[0])
+            bound = count * (top * abs(r) + count) * 2.0**-52
+            with mpmath.workprec(4000):
+                error = abs(mpmath.mpf(result.value) - true_sum(rad, count, family))
+            assert error <= bound, (rad, count)
+            checked += 1
+    assert checked >= 2 * len(FALLBACK_ANGLES)

@@ -110,6 +110,14 @@ def test_import_trigsum_loads_no_submodule():
     assert loaded == set()
 
 
+def test_kernels_loads_neither_mpmath_nor_numpy():
+    # the fallback's reduction takes pi from a committed integer
+    proc, loaded = fresh(["-c", "import trigsum.kernels"])
+    assert proc.returncode == 0, proc.stderr
+    assert loaded == {"angle", "errors", "kernels"}
+    assert not {"mpmath", "numpy"} & imported(proc.stderr)
+
+
 def test_submodules_import_from_the_package():
     code = ("import sys\n"
             "from trigsum import geometry, kernels, orbit, verify\n"

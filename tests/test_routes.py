@@ -2,8 +2,8 @@
 
 Every closed form divides by one sine, recorded once in kernels.ROUTES. These
 tests check that the public kernels, sum_auto and the CLI all follow that
-table, and pin the values sum_auto gives at regular angles, at pi and at both
-parities of the count.
+table, and pin the values sum_auto gives at regular angles, at pi, at both
+parities of the count, and at fallbacks past the first half-period.
 """
 
 import io
@@ -155,6 +155,18 @@ SUM_AUTO = [
     (1e-05, 8, 'even', 'lagrange', 7.999999959199999, 'NaiveFallback', 9.999999999833334e-06),
     (1e-05, 8, 'odd', 'halfangle', 7.999999966, 'NaiveFallback', 9.999999999833334e-06),
     (1e-05, 8, 'odd', 'lagrange', 7.999999966, 'NaiveFallback', 9.999999999833334e-06),
+    # fallbacks past the first half-period, summed at the reduced angle: each
+    # is within 6 m*eps of mpmath; the last has odd j, so the odd sum flips sign
+    (3141.592703589793, 1000, 'full', 'halfangle', 999.582760339194, 'NaiveFallback',
+     4.999999975888583e-05),
+    (3141.592603589793, 1000, 'full', 'lagrange', 999.5827603284671, 'NaiveFallback',
+     2.5000000208672063e-05),
+    (3141.592603589793, 1000, 'even', 'halfangle', 998.3316676907907, 'NaiveFallback',
+     5.000000040171912e-05),
+    (3141.592703589793, 1000, 'odd', 'halfangle', 998.3341668989261, 'NaiveFallback',
+     4.999999975888583e-05),
+    (3144.734296243383, 1000, 'odd', 'halfangle', -998.3341668769282, 'NaiveFallback',
+     5.000000008916574e-05),
 ]
 
 
