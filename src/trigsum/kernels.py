@@ -10,12 +10,15 @@ Each family has a closed form whose denominator (sin(phi/2) or sin(phi) or
 sin(alpha)) vanishes on a measure-zero singular set; near it the closed form
 amplifies rounding error like 1/|denominator|, so sum_auto falls back to the
 literal term-by-term sum when the denominator magnitude drops below a policy
-threshold. That fallback is the literal sum of the same terms at the angle
-reduced exactly by the family's period, so its term arguments stay small
-however large the angle; naive_trig_sum and the running sums stay the
-literal loop at the angle they are given. ROUTES records each closed form
-with the sine it divides by; the kernels, sum_auto, the sweeps and the CLI
-all take it from there.
+threshold. sum_auto evaluates both of its paths at the angle reduced by the
+family's period, so their arguments stay small however large the angle: the
+fallback, the literal sum of the same terms, at the exactly reduced angle,
+and the closed forms at an angle reduced by a Cody-Waite split of the period
+(exactly where the split cannot vouch for it). The threshold test and the
+reported proximity stay on the given angle. The public kernels,
+naive_trig_sum and the running sums run at the angle they are given. ROUTES
+records each closed form with the sine it divides by; the kernels, sum_auto's
+guard, the sweeps and the CLI all take it from there.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ class SumSpec(Record):
 
     def __init__(self, angle: Angle | float, count: int,
                  family: Family | str = Family.FULL) -> None:
-        _setattr(self, "angle", as_angle(angle))
+        # an Angle skips the call
+        _setattr(self, "angle", angle if angle.__class__ is Angle else as_angle(angle))
         if count.__class__ is not int or count < 1:  # an int >= 1 skips the call
             count = as_count(count, "count")
         _setattr(self, "count", count)
@@ -67,6 +71,8 @@ class Method(Enum):
 # sum_auto's members, bound once: on the query path a module global is cheaper
 # than the Enum class attribute, and identity than the Enum's value property.
 _FULL = Family.FULL
+_EVEN = Family.EVEN
+_ODD = Family.ODD
 _CLOSED_FORM = Method.CLOSED_FORM
 _NAIVE_FALLBACK = Method.NAIVE_FALLBACK
 
@@ -74,9 +80,10 @@ _NAIVE_FALLBACK = Method.NAIVE_FALLBACK
 class SumValue(Record):
     """An evaluated sum with method provenance.
 
-    singular_proximity is the magnitude of the denominator the closed form
-    would divide by; method is NaiveFallback exactly when it was below the
-    policy threshold at dispatch time.
+    singular_proximity is the magnitude of the selected form's denominator
+    at the given angle; method is NaiveFallback exactly when it was below
+    the policy threshold at dispatch time. Either way the value was
+    evaluated at the angle reduced by the family's period.
     """
 
     __slots__ = ("value", "method", "singular_proximity")
@@ -156,7 +163,58 @@ def _reduced(rad: float, family: Family) -> tuple[float, float]:
     step = den * period
     j = (2 * scaled + step) // (2 * step)  # floor(rad / period + 1/2)
     r = (scaled - j * step) / (den << _PI_SHIFT)
-    return r, -1.0 if j & 1 and family is Family.ODD else 1.0
+    return r, -1.0 if j & 1 and family is _ODD else 1.0
+
+
+#: Significant bits of the split's two leading pieces.
+_SPLIT_BITS = 30
+#: _split_reduced's domain, |rad / period| < 2**20 and |r| >= 2**-20, as
+#: bounds on the squares: comparing a square takes two float operations.
+_SPLIT_MAX = 2.0**40
+_SPLIT_MIN = 2.0**-40
+#: Adding and subtracting 1.5 * 2**52 rounds a double below 2**51 to an integer.
+_ROUND = 1.5 * 2.0**52
+
+
+def _split(period: int) -> tuple[float, float, float, float]:
+    """1 / period and period as c1 + c2 + c3 (Cody & Waite 1980), from the
+    period times 2**_PI_SHIFT: c1 and c2 are its leading two runs of
+    _SPLIT_BITS significant bits, so j * c1 and j * c2 are exact for
+    |j| <= 2**20, and c3 is the rest, rounded once."""
+    unit = 1 << _PI_SHIFT
+    rest, pieces = period, []
+    for _ in range(2):
+        drop = rest.bit_length() - _SPLIT_BITS
+        head = rest >> drop << drop
+        pieces.append(head / unit)
+        rest -= head
+    return (unit / period, *pieces, rest / unit)
+
+
+#: The splits of 2 pi (the full family's period) and pi (the even and odd ones').
+_TWO_PI_SPLIT = _split(_PI << 1)
+_PI_SPLIT = _split(_PI)
+
+
+def _split_reduced(rad: float, family: Family) -> tuple[float, float]:
+    """_reduced(rad, family) in a few float operations, for the closed forms.
+
+    j is rad / period rounded to an integer, and r = ((rad - j c1) - j c2) - j c3
+    lies within one ulp of rad - j * period when |rad / period| < 2**20 and
+    |r| >= 2**-20; elsewhere this returns _reduced(rad, family). j = 0 gives
+    rad's own bits. Only where rad / period lies within about 2**-32 of a
+    half-integer can j be the other integer next to it, and r then lies just
+    past the half-period, which the periodic closed forms do not mind.
+    """
+    inv, c1, c2, c3 = _TWO_PI_SPLIT if family is _FULL else _PI_SPLIT
+    q = rad * inv
+    j = (q + _ROUND) - _ROUND
+    if not j:
+        return rad, 1.0
+    r = ((rad - j * c1) - j * c2) - j * c3
+    if q * q < _SPLIT_MAX and r * r > _SPLIT_MIN:
+        return r, -1.0 if family is _ODD and j % 2.0 else 1.0
+    return _reduced(rad, family)
 
 
 def naive_trig_sum(spec: SumSpec) -> float:
@@ -363,17 +421,20 @@ def sum_auto(
 ) -> SumValue:
     """Evaluate a sum by closed form, or by the oracle near its singularity.
 
-    full_form selects the closed form for the full family (one of
-    FULL_FORMS); the even/odd families have one form each. When the relevant
-    denominator magnitude, taken at the given angle, is below threshold, the
-    result has method=NaiveFallback: the literal sum of the same terms at the
-    angle reduced exactly by the family's period (2 pi for the full family,
-    pi for the even and odd ones, whose sign (-1)**j it applies), so within
-    m * (top * |reduced| + m) * 2**-52 of the true sum, top being the largest
-    multiple, for every finite angle. The closed forms run at the given
-    angle: they are defined where the largest scaled argument, about
-    count * |phi| (2k * |alpha| for the even/odd families), is finite too;
-    beyond that the sine or cosine raises ValueError ("math domain error").
+    full_form selects the denominator that guards the full family (one of
+    FULL_FORMS); the even/odd families have one form each. When that
+    denominator's magnitude, taken at the given angle, is below threshold,
+    the result has method=NaiveFallback: the literal sum of the same terms
+    at the angle reduced exactly by the family's period (2 pi for the full
+    family, pi for the even and odd ones, whose sign (-1)**j it applies), so
+    within m * (top * |reduced| + m) * 2**-52 of the true sum, top being the
+    largest multiple, for every finite angle. Otherwise the result has
+    method=ClosedForm, evaluated at the angle r reduced by the period
+    (_split_reduced): the Lagrange body sin((m + 1/2) r) / sin(r / 2) for
+    the full family, whichever form guards, and the even or odd family's own
+    body, the odd one with the sign (-1)**j. Both paths take every finite
+    angle, 1e308 included; the reported proximity is the guard's, at the
+    given angle.
     """
     if not threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -382,10 +443,20 @@ def sum_auto(
     family = spec.family
     route = ROUTES[full_form if family is _FULL else family._value_]
     rad = spec.angle.radians
-    den = route.denominator(rad)
-    proximity = abs(den)
+    proximity = abs(route.denominator(rad))
+    count = spec.count
     if proximity < threshold:
         r, sign = _reduced(rad, family)
-        total = _add_terms(0.0, r, _multiples(family, 0, spec.count))
+        total = _add_terms(0.0, r, _multiples(family, 0, count))
         return SumValue(sign * total, _NAIVE_FALLBACK, proximity)
-    return SumValue(route.evaluate(rad, den, spec.count), _CLOSED_FORM, proximity)
+    r, sign = _split_reduced(rad, family)
+    sin = math.sin
+    if family is _FULL:  # the Lagrange body, whichever form guards
+        half = sin(0.5 * r)
+        # r / 2 underflows to zero only at r = +-5e-324, where every term is 1.0
+        value = 0.5 * (sin((count + 0.5) * r) / half - 1.0) if half else float(count)
+    elif family is _EVEN:
+        value = 0.5 * (sin((2 * count + 1) * r) / sin(r) - 1.0)
+    else:
+        value = sign * 0.5 * sin(2 * count * r) / sin(r)
+    return SumValue(value, _CLOSED_FORM, proximity)

@@ -2,21 +2,25 @@
 
 Each test prints a single verdict line (kept visible through output capture)
 and asserts the same condition, so a FAIL line is always accompanied by a
-failing test. Criterion 8 times a million-term naive sum over a thousand
+failing test. Criterion 10 holds sum_auto against mpmath at every angle
+size; criterion 8 times a million-term naive sum over a thousand
 repeats through the CLI and dominates the suite's runtime.
 """
 
 import json
 import math
+import random
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 
 from trigsum import (
     DEFAULT_THRESHOLD,
     Angle,
     ConstructionConfig,
+    Family,
     GridSpec,
     Line,
     Method,
@@ -273,6 +277,119 @@ def test_09_byte_determinism(capsys, tmp_path):
         f"[criterion 9] byte determinism across repeated runs: "
         f"{'all outputs identical' if ok else 'mismatches: ' + ', '.join(mismatched)} "
         f"-> {'PASS' if ok else 'FAIL'}"
+    )
+    _report(capsys, line)
+    assert ok, line
+
+
+#: The spacing of doubles at 1, the unit of criterion 10's bounds.
+EPS = 2.0**-52
+
+#: Doubles near 1e300 within 1e-4 of a multiple of pi; the second is near an
+#: even multiple, so sin(phi/2) is small there too.
+HUGE = (1.0000000000024084e+300, 1.0000000000033748e+300, 1.0000000000067346e+300)
+
+#: Angles within a threshold of k pi for k up to 10^6, and near 1e300, where
+#: every family falls back (the full family's Lagrange guard only near even k).
+FALLBACK_ANGLES = [sign * k * math.pi + offset for k in (1, 2, 3, 10, 1000, 12345, 10**6)
+                   for sign in (1, -1) for offset in (5e-5, -9e-5, 3e-6)] + [*HUGE, -HUGE[1]]
+FALLBACK_COUNTS = (1, 9, 1000, 10**4)
+
+#: Each family with the form that guards it; the even and odd families have one.
+FORMS = ((Family.FULL, "halfangle"), (Family.FULL, "lagrange"), (Family.EVEN, "halfangle"),
+         (Family.ODD, "halfangle"))
+
+
+def _honest_angles(rng):
+    """Generic angles, angles 1-5 thresholds off k pi for k up to 10^6, and a
+    few huge ones, besides the fallback angles."""
+    angles = [1.0, 2.5, -2.5, math.pi, math.pi / 3, 123456.789, TWO_PI - 1.1e-4,
+              1e-3, 0.3 + 1e5 * math.pi, 1e20, -3.3e100, 1e300, -1e300]
+    angles += [rng.uniform(-50.0, 50.0) for _ in range(24)]
+    for k in (1, 2, 3, 7, 10, 1000, 12345, 10**6, *(rng.randint(4, 10**6) for _ in range(12))):
+        offset = rng.choice((-1, 1)) * DEFAULT_THRESHOLD * rng.uniform(1.02, 5.0)
+        angles.append(rng.choice((-1, 1)) * k * math.pi + offset)
+    return angles + FALLBACK_ANGLES
+
+
+def _honest_counts(rng):
+    """Counts of a closed form: small ones of both parities, and up to 10^15."""
+    return (1, 2, 7, 8, 1000, 10**6, 10**15,
+            *(int(10 ** rng.uniform(0.0, 15.0)) for _ in range(5)))
+
+
+def _reference(rad, count, family, exact):
+    """The family's sum at the double rad, and its remainder r modulo the
+    period rounded to a double: rad is reduced exactly at 2400 bits (once
+    per angle and family, kept in exact), the closed form is evaluated at r
+    at 200 bits, and the odd family takes the sign (-1)**j."""
+    if (rad, family) not in exact:
+        with mpmath.workprec(2400):
+            x = mpmath.mpf(rad)
+            period = 2 * mpmath.pi if family is Family.FULL else mpmath.pi
+            j = int(mpmath.nint(x / period))
+            exact[rad, family] = x - j * period, j
+    r, j = exact[rad, family]
+    with mpmath.workprec(200):
+        a = +r
+        if family is Family.FULL:
+            value = (mpmath.sin((count + mpmath.mpf(0.5)) * a) / mpmath.sin(a / 2) - 1) / 2
+        elif family is Family.EVEN:
+            value = (mpmath.sin((2 * count + 1) * a) / mpmath.sin(a) - 1) / 2
+        else:
+            value = (-1 if j % 2 else 1) * mpmath.sin(2 * count * a) / (2 * mpmath.sin(a))
+    return value, float(a)
+
+
+def test_10_closed_form_label_is_honest(capsys):
+    # A ClosedForm result must be within 2 (2m+1) eps of the true sum. A
+    # NaiveFallback result must be within the naive loop's bound at the
+    # reduced angle r: rounding r once moves each term argument by at most
+    # top*|r|*u more, which the bound's factor 2 on m*top*|r|*u already holds.
+    rng = random.Random(10)
+    angles, counts = _honest_angles(rng), _honest_counts(rng)
+    exact = {}
+    worst_closed = worst_fallback = 0.0
+    closed = fallbacks = raised = missed = 0
+    for family, form in FORMS:
+        at_fallback_angles = 0
+        for rad in angles:
+            try:
+                flagged = sum_auto(SumSpec(rad, 1, family), full_form=form).method
+            except ValueError:
+                raised += 1
+                continue
+            is_fallback = flagged is Method.NAIVE_FALLBACK
+            # sin(phi/2), the Lagrange guard, is regular near the odd multiples of pi
+            expected = rad in FALLBACK_ANGLES
+            missed += expected and form != "lagrange" and not is_fallback
+            for count in FALLBACK_COUNTS if is_fallback else counts:
+                try:
+                    result = sum_auto(SumSpec(rad, count, family), full_form=form)
+                except ValueError:
+                    raised += 1
+                    continue
+                value, r = _reference(rad, count, family, exact)
+                with mpmath.workprec(200):
+                    error = float(abs(mpmath.mpf(result.value) - value))
+                if is_fallback:
+                    top = {Family.FULL: count, Family.EVEN: 2 * count,
+                           Family.ODD: 2 * count - 1}[family]
+                    bound = count * (top * abs(r) + count) * EPS
+                    worst_fallback = max(worst_fallback, error / bound)
+                    fallbacks += 1
+                    at_fallback_angles += expected
+                else:
+                    worst_closed = max(worst_closed, error / ((2 * count + 1) * EPS))
+                    closed += 1
+        missed += at_fallback_angles < 2 * len(FALLBACK_ANGLES)
+    ok = worst_closed <= 2.0 and worst_fallback <= 1.0 and raised == missed == 0
+    line = (
+        f"[criterion 10] ClosedForm within 2(2m+1)eps of mpmath, m <= 10^15, "
+        f"|phi| <= 1e300 ({closed} closed forms, {fallbacks} fallbacks): "
+        f"worst closed form {worst_closed:.3f} (2m+1)eps (bound 2), worst fallback "
+        f"{worst_fallback:.3f} of the naive bound (bound 1), raised {raised}, "
+        f"missed fallbacks {missed} -> {'PASS' if ok else 'FAIL'}"
     )
     _report(capsys, line)
     assert ok, line

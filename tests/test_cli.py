@@ -410,13 +410,27 @@ def test_usage_error_bytes(capsys, monkeypatch, argv, expected):
     assert captured.err == expected
 
 
-@pytest.mark.parametrize("method", ["auto", "lagrange", "halfangle", "naive"])
+@pytest.mark.parametrize("method", ["lagrange", "halfangle", "naive"])
 def test_sum_overflowing_argument_exits_with_error(capsys, method):
-    # 5 * 1e308 overflows to inf before the sine: outside the domain of sum
+    # these methods run at the given angle: 5 * 1e308 overflows to inf before the sine
     assert run(["sum", "--phi", "1e308", "--m", "5", "--method", method]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: math domain error\n"
+
+
+def test_sum_auto_reduces_an_overflowing_argument(capsys):
+    # auto's closed form runs at 1e308 less its nearest multiple of 2 pi
+    code, out = run_capture(capsys, ["sum", "--phi", "1e308", "--m", "5", "--method", "auto"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "ClosedForm"
+    assert payload["singular_proximity"] == abs(math.sin(1e308))
+    with mpmath.workprec(4000):
+        a = mpmath.mpf(1e308)
+        exact = (mpmath.sin(5.5 * a) / mpmath.sin(a / 2) - 1) / 2
+        error = abs(mpmath.mpf(payload["value"]) - exact)
+    assert error <= 2 * (2 * 5 + 1) * 2.0**-52
 
 
 HUGE = str(10**400)  # an int too large for a float

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -24,7 +26,15 @@ from trigsum import (
     sum_auto,
     x_coordinate_identity,
 )
-from trigsum.kernels import _PI, _PI_SHIFT, RunningSumPlan, _reduced
+from trigsum.kernels import (
+    _PI,
+    _PI_SHIFT,
+    _PI_SPLIT,
+    _TWO_PI_SPLIT,
+    RunningSumPlan,
+    _reduced,
+    _split_reduced,
+)
 
 PI = math.pi
 
@@ -296,8 +306,9 @@ def test_sum_auto_fallback_at_pi():
 def test_sum_auto_closed_form():
     result = sum_auto(spec(1.0, 10))
     assert result.method is Method.CLOSED_FORM
-    assert result.value == pytest.approx(lagrange_sum(1.0, 10), abs=1e-12)
-    assert result.value == halfangle_free_sum(1.0, 10)
+    # j = 0: the Lagrange body at the angle's own bits, whichever form guards
+    assert result.value == lagrange_sum(1.0, 10)
+    assert result.value == pytest.approx(halfangle_free_sum(1.0, 10), abs=1e-12)
 
 
 def test_sum_auto_lagrange_form_is_regular_at_pi():
@@ -396,12 +407,19 @@ def test_naive_within_its_error_bound_of_an_mpmath_reference(family, m, phi):
 
 
 @pytest.mark.parametrize("full_form", ["halfangle", "lagrange"])
-def test_sum_auto_domain_ends_where_the_scaled_argument_overflows(full_form):
-    # the largest multiple of phi, about count * phi, must be finite
-    for family in Family:
+def test_only_the_kernels_domain_ends_where_the_scaled_argument_overflows(full_form):
+    # the public kernels run at the given angle: 5 * 1e308 overflows to inf
+    for kernel in (lagrange_sum, halfangle_free_sum, even_index_sum, odd_index_sum):
         with pytest.raises(ValueError, match="math domain error"):
-            sum_auto(SumSpec(Angle(1e308), 5, family), full_form=full_form)
-    assert math.isfinite(sum_auto(SumSpec(Angle(1e307), 5), full_form=full_form).value)
+            kernel(1e308, 5)
+    # sum_auto's closed forms run at the reduced angle, within criterion 10's bound
+    for rad in (1e308, -1e308, 1.7976931348623157e308, 1e307):
+        for family in Family:
+            result = sum_auto(SumSpec(Angle(rad), 5, family), full_form=full_form)
+            assert result.method is Method.CLOSED_FORM
+            with mpmath.workprec(4000):
+                error = abs(mpmath.mpf(result.value) - true_sum(rad, 5, family))
+            assert error <= 2 * (2 * 5 + 1) * 2.0**-52, (rad, family)
 
 
 def machin_pi(bits: int, guard: int = 64) -> int:
@@ -489,28 +507,117 @@ def true_sum(rad, count, family):
         return mpmath.sin(2 * count * a) / (2 * mpmath.sin(a))
 
 
-FALLBACK_ANGLES = [sign * k * PI + offset for k in (1, 2, 3, 10, 1000, 12345, 10**6)
-                   for sign in (1, -1) for offset in (5e-5, -9e-5, 3e-6)] + [*HUGE, -HUGE[1]]
+#: Each family's split: 1 / period, then the pieces c1, c2, c3; and the period
+#: times 2**_PI_SHIFT that it splits.
+SPLITS = {Family.FULL: (_TWO_PI_SPLIT, _PI << 1), Family.EVEN: (_PI_SPLIT, _PI),
+          Family.ODD: (_PI_SPLIT, _PI)}
 
 
-@pytest.mark.parametrize("family, form", [(Family.FULL, "halfangle"), (Family.FULL, "lagrange"),
-                                          (Family.EVEN, "halfangle"), (Family.ODD, "halfangle")])
-def test_fallback_within_the_naive_bound_at_the_reduced_angle(family, form):
-    # The bound of test_naive_within_its_error_bound_of_an_mpmath_reference at
-    # the reduced angle r: rounding r once moves each term argument by at most
-    # top*|r|*u more, which the bound's factor 2 on m*top*|r|*u already holds.
+@pytest.mark.parametrize("family", list(Family))
+def test_split_leading_pieces_have_at_most_thirty_significant_bits(family):
+    (_, c1, c2, c3), _ = SPLITS[family]
+    for piece in (c1, c2):
+        numerator, _ = piece.as_integer_ratio()  # lowest terms: odd over a power of two
+        assert numerator.bit_length() <= 30
+    # each piece starts below the last bit of the one before it
+    assert c2 < math.ulp(c1) * 2**23 and c3 < c2 * 2.0**-29
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_split_sums_to_the_period_to_105_bits(family):
+    (inv, c1, c2, c3), period = SPLITS[family]
+    exact = Fraction(period, 1 << _PI_SHIFT)
+    pieces = Fraction(c1) + Fraction(c2) + Fraction(c3)
+    assert abs(pieces - exact) <= exact * Fraction(1, 2**105)
+    assert inv == float(1 / exact)
+
+
+def split_cases(family, rng):
+    """About 35000 angles over the split's domain and its edges, negatives too."""
+    period = 2 * PI if family is Family.FULL else PI
+    edge = 2.0**20 * period
+    cases = [rng.uniform(-edge, edge) for _ in range(10000)]
+    cases += [rng.uniform(-8 * period, 8 * period) for _ in range(4000)]
+    # nextafter steps around k * period, for small k, for odd k, and for k up to 2**20
+    ks = [*range(1, 200), *rng.sample(range(1, 2**20), 600), 2**20 - 1, 2**20 - 2]
+    for k in ks:
+        x = k * period
+        for _ in range(4):
+            x = math.nextafter(x, -math.inf)
+        for _ in range(9):
+            cases.append(x)
+            x = math.nextafter(x, math.inf)
+    # |rad / period| just under and just over 2**20
+    for x in (edge, edge - 0.25 * period, edge + 0.25 * period, edge - 1e-3, edge + 1e-3):
+        for step in range(-40, 41):
+            cases.append(x + step * math.ulp(x))
+    # |r| just under and just over 2**-20
+    for k in ks[::3]:
+        for t in (0.98, 0.999, 1.0, 1.001, 1.02, 1.5):
+            for sign in (1.0, -1.0):
+                cases.append(k * period + sign * t * 2.0**-20)
+    return cases + [-x for x in cases]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_split_reduced_within_one_ulp_of_reduced(family):
+    rng = random.Random(f"split {family.value}")
     checked = 0
-    for rad in FALLBACK_ANGLES:
-        for count in (1, 9, 1000, 10**4):
-            result = sum_auto(spec(rad, count, family), full_form=form)
-            if form == "lagrange" and result.method is Method.CLOSED_FORM:
-                continue  # sin(phi/2) is regular near the odd multiples of pi
-            assert result.method is Method.NAIVE_FALLBACK
-            top = {Family.FULL: count, Family.EVEN: 2 * count, Family.ODD: 2 * count - 1}[family]
-            r = rounded(exact_remainder(rad, family)[0])
-            bound = count * (top * abs(r) + count) * 2.0**-52
-            with mpmath.workprec(4000):
-                error = abs(mpmath.mpf(result.value) - true_sum(rad, count, family))
-            assert error <= bound, (rad, count)
-            checked += 1
-    assert checked >= 2 * len(FALLBACK_ANGLES)
+    for rad in split_cases(family, rng):
+        r, sign = _split_reduced(rad, family)
+        exact, exact_sign = _reduced(rad, family)
+        assert sign == exact_sign, rad
+        if exact.hex() == rad.hex():  # j = 0
+            assert r.hex() == rad.hex()
+        else:
+            assert abs(r - exact) <= math.ulp(exact), rad
+        checked += 1
+    assert checked >= 10**5 // 3
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_split_reduced_is_reduced_outside_its_domain(family):
+    period = 2 * PI if family is Family.FULL else PI
+    outside = [2.0**20 * period * 1.001, 1e7, 1e10, 123456789012.5, 1e300, 1.7976931348623157e308,
+               *HUGE]
+    # |r| below 2**-20: the double nearest k * period, and offsets under 2**-20
+    for k in (1, 2, 3, 1001, 12345, 2**20 - 1):
+        outside += [k * period, k * period + 1e-7, k * period - 9e-7, k * period + 3e-12]
+    for rad in outside + [-x for x in outside]:
+        exact = _reduced(rad, family)
+        assert abs(exact[0]) < 2.0**-20 or abs(rad / period) >= 2.0**20, rad
+        assert _split_reduced(rad, family) == exact, rad
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_split_reduced_may_take_the_other_integer_at_a_half_period(family):
+    # where rad / period lies next to a half-integer, j may be either integer
+    # beside it: r then lies just past the half-period, one period from
+    # _reduced's, and the odd family's sign follows j
+    period = 2 * PI if family is Family.FULL else PI
+    other = 0
+    for k in (0, 1, 2, 7, 100, 12345, 2**19 + 3, 2**20 - 2):
+        x = (k + 0.5) * period
+        for _ in range(6):
+            x = math.nextafter(x, -math.inf)
+        for _ in range(13):
+            for rad in (x, -x):
+                r, sign = _split_reduced(rad, family)
+                exact, exact_sign = _reduced(rad, family)
+                if abs(r - exact) <= math.ulp(exact):
+                    assert sign == exact_sign
+                    continue
+                other += 1
+                assert abs(abs(r - exact) - period) <= 4 * math.ulp(period), rad
+                assert abs(r) < period / 2 + 1e-8
+                assert sign == (-exact_sign if family is Family.ODD else exact_sign)
+            x = math.nextafter(x, math.inf)
+    assert other > 0
+
+
+def test_sum_auto_full_family_at_the_least_angle():
+    # r / 2 underflows to zero at r = 5e-324, where every term of the sum is 1.0
+    result = sum_auto(spec(5e-324, 7), threshold=5e-324)
+    assert (result.value, result.method) == (7.0, Method.CLOSED_FORM)
+    assert sum_auto(spec(5e-324, 7), threshold=5e-324, full_form="lagrange").method is (
+        Method.NAIVE_FALLBACK)

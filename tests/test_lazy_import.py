@@ -111,11 +111,11 @@ def test_import_trigsum_loads_no_submodule():
 
 
 def test_kernels_loads_neither_mpmath_nor_numpy():
-    # the fallback's reduction takes pi from a committed integer
+    # both reductions, and the split's pieces, take pi from a committed integer
     proc, loaded = fresh(["-c", "import trigsum.kernels"])
     assert proc.returncode == 0, proc.stderr
     assert loaded == {"angle", "errors", "kernels"}
-    assert not {"mpmath", "numpy"} & imported(proc.stderr)
+    assert not {"mpmath", "numpy", "fractions", "decimal"} & imported(proc.stderr)
 
 
 def test_submodules_import_from_the_package():

@@ -113,7 +113,7 @@ SUM_AUTO = [
     (1.0, 7, 'even', 'lagrange', -0.11360055670512859, 'ClosedForm', 0.8414709848078965),
     (1.0, 7, 'odd', 'halfangle', 0.5886164666277952, 'ClosedForm', 0.8414709848078965),
     (1.0, 7, 'odd', 'lagrange', 0.5886164666277952, 'ClosedForm', 0.8414709848078965),
-    (1.0, 8, 'full', 'halfangle', 0.3327540445052234, 'ClosedForm', 0.8414709848078965),
+    (1.0, 8, 'full', 'halfangle', 0.3327540445052233, 'ClosedForm', 0.8414709848078965),
     (1.0, 8, 'full', 'lagrange', 0.3327540445052233, 'ClosedForm', 0.479425538604203),
     (1.0, 8, 'even', 'halfangle', -1.0712600370285132, 'ClosedForm', 0.8414709848078965),
     (1.0, 8, 'even', 'lagrange', -1.0712600370285132, 'ClosedForm', 0.8414709848078965),
@@ -141,8 +141,8 @@ SUM_AUTO = [
     (2.5, 8, 'full', 'lagrange', -0.1442852499805234, 'ClosedForm', 0.9489846193555862),
     (2.5, 8, 'even', 'halfangle', -1.3321911996513665, 'ClosedForm', 0.5984721441039565),
     (2.5, 8, 'even', 'lagrange', -1.3321911996513665, 'ClosedForm', 0.5984721441039565),
-    (2.5, 8, 'odd', 'halfangle', 0.6225128168621331, 'ClosedForm', 0.5984721441039565),
-    (2.5, 8, 'odd', 'lagrange', 0.6225128168621331, 'ClosedForm', 0.5984721441039565),
+    (2.5, 8, 'odd', 'halfangle', 0.622512816862133, 'ClosedForm', 0.5984721441039565),
+    (2.5, 8, 'odd', 'lagrange', 0.622512816862133, 'ClosedForm', 0.5984721441039565),
     (1e-05, 7, 'full', 'halfangle', 6.999999992999999, 'NaiveFallback', 9.999999999833334e-06),
     (1e-05, 7, 'full', 'lagrange', 6.999999992999999, 'NaiveFallback', 4.999999999979167e-06),
     (1e-05, 7, 'even', 'halfangle', 6.9999999719999995, 'NaiveFallback', 9.999999999833334e-06),

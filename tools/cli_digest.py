@@ -29,7 +29,8 @@ METHODS = ("auto", "lagrange", "halfangle", "naive")
 PI = "3.141592653589793"
 HALF_PI = "1.5707963267948966"
 QUARTER_PI = "0.7853981633974483"
-#: Angles at or past the edge of the domain: 1e308 times a count overflows.
+#: Angles at or past the edge of the domain: 1e308 times a count overflows,
+#: except for `sum --method auto`, which reduces it first.
 BAD_ANGLES = ("nan", "inf", "1e308")
 OUT = "out.txt"
 

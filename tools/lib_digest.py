@@ -23,6 +23,9 @@ from cli_digest import PAIRS, sha256_parts
 ANGLES = tuple(map(repr, (0.0, 1e-9, 0.3, 1.0, math.pi / 3, math.pi - 1e-5, math.pi,
                           2 * math.pi - 1.1e-4, -2.5, 123456.789)))
 COUNTS = (1, 2, 7, 8, 9, 64, 1000)
+#: Angles whose scaled arguments overflow, and one far from the first period:
+#: sum_auto's closed forms run at the reduced angle there.
+REDUCED_ANGLES = tuple(map(repr, (1e300, -1e300, 1e308, 1e5 * math.pi + 3e-4)))
 #: Unsorted, with repeats.
 MIXED_COUNTS = "(9, 1, 1000, 9, 64, 2)"
 KERNELS = ("lagrange_sum", "halfangle_free_sum", "even_index_sum", "odd_index_sum")
@@ -49,6 +52,8 @@ def calls() -> list[str]:
         suffix = f", full_form={form}" if form else ""
         out += [f"sum_auto(SumSpec({phi}, {count}, Family.{family}){suffix})"
                 for phi in ANGLES for count in COUNTS]
+        out += [f"sum_auto(SumSpec({phi}, {count}, Family.{family}){suffix})"
+                for phi in REDUCED_ANGLES for count in (7, 1000)]
     for kernel in KERNELS:
         out += [f"{kernel}({phi}, {count}{threshold})"
                 for threshold in ("", ", threshold=0.0") for phi in ANGLES for count in COUNTS]
