@@ -207,14 +207,10 @@ def chebyshev_form_point(alpha: Angle | float, n: int) -> Point2:
     defined.
     """
     n = as_count(n, "n")
-    return Point2(*_chebyshev_form(as_angle(alpha).radians, _check_degree(n - 1)))
-
-
-def _chebyshev_form(rad: float, degree: int) -> tuple[float, float]:
-    """The core of chebyshev_form_point, for a checked degree = n - 1."""
+    rad = as_angle(alpha).radians
     cos_a = math.cos(rad)
-    u = _u(degree, cos_a)
-    return cos_a * u, math.sin(rad) * u
+    u = _u(_check_degree(n - 1), cos_a)
+    return Point2(cos_a * u, math.sin(rad) * u)
 
 
 def projection_sum(seq: PointSeq, target: Line | str, count: int) -> float:

@@ -10,15 +10,16 @@ Each family has a closed form whose denominator (sin(phi/2) or sin(phi) or
 sin(alpha)) vanishes on a measure-zero singular set; near it the closed form
 amplifies rounding error like 1/|denominator|, so sum_auto falls back to the
 literal term-by-term sum when the denominator magnitude drops below a policy
-threshold. sum_auto evaluates both of its paths at the angle reduced by the
-family's period, so their arguments stay small however large the angle: the
-fallback, the literal sum of the same terms, at the exactly reduced angle,
-and the closed forms at an angle reduced by a Cody-Waite split of the period
-(exactly where the split cannot vouch for it). The threshold test and the
-reported proximity stay on the given angle. The public kernels,
-naive_trig_sum and the running sums run at the angle they are given. ROUTES
-records each closed form with the sine it divides by; the kernels, sum_auto's
-guard, the sweeps and the CLI all take it from there.
+threshold. sum_auto evaluates both of its paths at a reduced angle, so their
+arguments stay small however large the angle: the fallback, the literal sum
+of the same terms, at the angle reduced exactly by the family's period, and
+the closed forms as one ratio, U_{n-1}(cos a) = sin(n a) / sin a (_ratio), at
+a reduced modulo pi by a Cody-Waite split (exactly where the split cannot
+vouch for it). The threshold test and the reported proximity stay on the
+given angle. The public kernels, naive_trig_sum and the running sums run at
+the angle they are given. ROUTES records each closed form with the sine it
+divides by; the kernels, sum_auto's guard, the sweeps and the CLI all take
+it from there.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class Method(Enum):
 # sum_auto's members, bound once: on the query path a module global is cheaper
 # than the Enum class attribute, and identity than the Enum's value property.
 _FULL = Family.FULL
-_EVEN = Family.EVEN
 _ODD = Family.ODD
 _CLOSED_FORM = Method.CLOSED_FORM
 _NAIVE_FALLBACK = Method.NAIVE_FALLBACK
@@ -168,7 +168,7 @@ def _reduced(rad: float, family: Family) -> tuple[float, float]:
 
 #: Significant bits of the split's two leading pieces.
 _SPLIT_BITS = 30
-#: _split_reduced's domain, |rad / period| < 2**20 and |r| >= 2**-20, as
+#: _split_reduced's domain, |rad / pi| < 2**20 and |r| >= 2**-20, as
 #: bounds on the squares: comparing a square takes two float operations.
 _SPLIT_MAX = 2.0**40
 _SPLIT_MIN = 2.0**-40
@@ -191,30 +191,38 @@ def _split(period: int) -> tuple[float, float, float, float]:
     return (unit / period, *pieces, rest / unit)
 
 
-#: The splits of 2 pi (the full family's period) and pi (the even and odd ones').
-_TWO_PI_SPLIT = _split(_PI << 1)
 _PI_SPLIT = _split(_PI)
 
 
-def _split_reduced(rad: float, family: Family) -> tuple[float, float]:
-    """_reduced(rad, family) in a few float operations, for the closed forms.
+def _split_reduced(rad: float) -> tuple[float, float]:
+    """_reduced(rad, Family.ODD), rad less its nearest multiple j of pi and
+    (-1)**j, in a few float operations.
 
-    j is rad / period rounded to an integer, and r = ((rad - j c1) - j c2) - j c3
-    lies within one ulp of rad - j * period when |rad / period| < 2**20 and
-    |r| >= 2**-20; elsewhere this returns _reduced(rad, family). j = 0 gives
-    rad's own bits. Only where rad / period lies within about 2**-32 of a
+    j is rad / pi rounded to an integer, and r = ((rad - j c1) - j c2) - j c3
+    lies within one ulp of rad - j * pi when |rad / pi| < 2**20 and
+    |r| >= 2**-20; elsewhere this returns _reduced(rad, Family.ODD). j = 0
+    gives rad's own bits. Only where rad / pi lies within about 2**-32 of a
     half-integer can j be the other integer next to it, and r then lies just
-    past the half-period, which the periodic closed forms do not mind.
+    past pi / 2, which _ratio does not mind.
     """
-    inv, c1, c2, c3 = _TWO_PI_SPLIT if family is _FULL else _PI_SPLIT
+    inv, c1, c2, c3 = _PI_SPLIT
     q = rad * inv
     j = (q + _ROUND) - _ROUND
     if not j:
         return rad, 1.0
     r = ((rad - j * c1) - j * c2) - j * c3
     if q * q < _SPLIT_MAX and r * r > _SPLIT_MIN:
-        return r, -1.0 if family is _ODD and j % 2.0 else 1.0
-    return _reduced(rad, family)
+        return r, -1.0 if j % 2.0 else 1.0
+    return _reduced(rad, _ODD)
+
+
+def _ratio(rad: float, n: int) -> float:
+    """sin(n a) / sin a = U_{n-1}(cos a) at a = rad, for n >= 1, in O(1): with
+    r = rad - j pi from _split_reduced, (-1)**(j (n - 1)) sin(n r) / sin r, or
+    n at r = 0. Within about n * eps of the exact ratio at every angle."""
+    r, sign = _split_reduced(rad)
+    value = math.sin(n * r) / math.sin(r) if r else float(n)
+    return value if n & 1 else sign * value
 
 
 def naive_trig_sum(spec: SumSpec) -> float:
@@ -429,12 +437,12 @@ def sum_auto(
     family, pi for the even and odd ones, whose sign (-1)**j it applies), so
     within m * (top * |reduced| + m) * 2**-52 of the true sum, top being the
     largest multiple, for every finite angle. Otherwise the result has
-    method=ClosedForm, evaluated at the angle r reduced by the period
-    (_split_reduced): the Lagrange body sin((m + 1/2) r) / sin(r / 2) for
-    the full family, whichever form guards, and the even or odd family's own
-    body, the odd one with the sign (-1)**j. Both paths take every finite
-    angle, 1e308 included; the reported proximity is the guard's, at the
-    given angle.
+    method=ClosedForm, by the ratio U_{n-1}(cos a) = sin(n a) / sin a
+    (_ratio): the odd family's sum is U_{2k-1}(cos a) / 2, the even one's
+    (U_{2k}(cos a) - 1) / 2, and the full family's the even one's at
+    a = phi / 2, whichever form guards. Both paths take every finite angle,
+    1e308 included; the reported proximity is the guard's, at the given
+    angle.
     """
     if not threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -449,14 +457,8 @@ def sum_auto(
         r, sign = _reduced(rad, family)
         total = _add_terms(0.0, r, _multiples(family, 0, count))
         return SumValue(sign * total, _NAIVE_FALLBACK, proximity)
-    r, sign = _split_reduced(rad, family)
-    sin = math.sin
-    if family is _FULL:  # the Lagrange body, whichever form guards
-        half = sin(0.5 * r)
-        # r / 2 underflows to zero only at r = +-5e-324, where every term is 1.0
-        value = 0.5 * (sin((count + 0.5) * r) / half - 1.0) if half else float(count)
-    elif family is _EVEN:
-        value = 0.5 * (sin((2 * count + 1) * r) / sin(r) - 1.0)
+    if family is _ODD:
+        value = 0.5 * _ratio(rad, 2 * count)
     else:
-        value = sign * 0.5 * sin(2 * count * r) / sin(r)
+        value = 0.5 * (_ratio(0.5 * rad if family is _FULL else rad, 2 * count + 1) - 1.0)
     return SumValue(value, _CLOSED_FORM, proximity)

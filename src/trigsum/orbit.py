@@ -2,19 +2,20 @@
 
 For fixed n the point A_n sweeps the curve
 (cos a * U_{n-1}(cos a), sin a * U_{n-1}(cos a)) as the opening angle a runs
-over a range. Sampling uses the polynomial coordinate form exclusively: it
-is total, so the curve crosses the sin a = 0 angles without gaps where the
-cotangent form would blow up.
+over a range. Each sample takes U_{n-1}(cos a) from kernels._ratio: O(1) in n,
+within about n * eps, and total, so the curve crosses the sin a = 0 angles
+without gaps where the cotangent form would blow up.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 from .angle import Record, as_count, inclusive_grid
 from .formatting import csv_text, fmt12, json_line
-from .chebyshev import _check_degree
-from .geometry import TWO_PI, _chebyshev_form, chebyshev_form_point  # perfbench patches the last
+from .geometry import TWO_PI, chebyshev_form_point  # perfbench patches the last
+from .kernels import _ratio
 
 
 class EmitFormat(Enum):
@@ -42,8 +43,7 @@ def orbit_samples(
     """Sample the orbit of A_n uniformly, inclusive of both endpoints."""
     n = as_count(n, "n")
     grid = inclusive_grid(alpha_min, alpha_max, steps, "alpha")
-    degree = _check_degree(n - 1)  # after the range check, so BadRange comes first
-    samples = [(a, *_chebyshev_form(a, degree)) for a in grid]
+    samples = [(a, math.cos(a) * u, math.sin(a) * u) for a in grid for u in (_ratio(a, n),)]
     # float bounds render like the samples: 1e+17, not 100000000000000000
     return OrbitCurve(n, float(alpha_min), float(alpha_max), steps, tuple(samples))
 

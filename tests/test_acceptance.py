@@ -295,6 +295,13 @@ FALLBACK_ANGLES = [sign * k * math.pi + offset for k in (1, 2, 3, 10, 1000, 1234
                    for sign in (1, -1) for offset in (5e-5, -9e-5, 3e-6)] + [*HUGE, -HUGE[1]]
 FALLBACK_COUNTS = (1, 9, 1000, 10**4)
 
+#: Subnormal angles k * 5e-324 with odd k, where phi / 2 rounds, with the
+#: counts they are checked at and the least positive threshold, which keeps
+#: them on the closed forms.
+SUBNORMAL_ANGLES = [k * 5e-324 for k in (3, 5, 7, 1001, 2**20 + 1)]
+SUBNORMAL_COUNTS = (1, 10, 10**6)
+SUBNORMAL_THRESHOLD = 5e-324
+
 #: Each family with the form that guards it; the even and odd families have one.
 FORMS = ((Family.FULL, "halfangle"), (Family.FULL, "lagrange"), (Family.EVEN, "halfangle"),
          (Family.ODD, "halfangle"))
@@ -341,11 +348,22 @@ def _reference(rad, count, family, exact):
     return value, float(a)
 
 
+def _error_over_bound(result, rad, count, family, exact):
+    """result's error against mpmath over its method's bound. A ClosedForm
+    result must be within 2 (2m+1) eps of the true sum. A NaiveFallback
+    result must be within the naive loop's bound at the reduced angle r:
+    rounding r once moves each term argument by at most top*|r|*u more,
+    which the bound's factor 2 on m*top*|r|*u already holds."""
+    value, r = _reference(rad, count, family, exact)
+    with mpmath.workprec(200):
+        error = float(abs(mpmath.mpf(result.value) - value))
+    if result.method is Method.NAIVE_FALLBACK:
+        top = {Family.FULL: count, Family.EVEN: 2 * count, Family.ODD: 2 * count - 1}[family]
+        return error / (count * (top * abs(r) + count) * EPS)
+    return error / ((2 * count + 1) * EPS)
+
+
 def test_10_closed_form_label_is_honest(capsys):
-    # A ClosedForm result must be within 2 (2m+1) eps of the true sum. A
-    # NaiveFallback result must be within the naive loop's bound at the
-    # reduced angle r: rounding r once moves each term argument by at most
-    # top*|r|*u more, which the bound's factor 2 on m*top*|r|*u already holds.
     rng = random.Random(10)
     angles, counts = _honest_angles(rng), _honest_counts(rng)
     exact = {}
@@ -369,20 +387,26 @@ def test_10_closed_form_label_is_honest(capsys):
                 except ValueError:
                     raised += 1
                     continue
-                value, r = _reference(rad, count, family, exact)
-                with mpmath.workprec(200):
-                    error = float(abs(mpmath.mpf(result.value) - value))
+                ratio = _error_over_bound(result, rad, count, family, exact)
                 if is_fallback:
-                    top = {Family.FULL: count, Family.EVEN: 2 * count,
-                           Family.ODD: 2 * count - 1}[family]
-                    bound = count * (top * abs(r) + count) * EPS
-                    worst_fallback = max(worst_fallback, error / bound)
+                    worst_fallback = max(worst_fallback, ratio)
                     fallbacks += 1
                     at_fallback_angles += expected
                 else:
-                    worst_closed = max(worst_closed, error / ((2 * count + 1) * EPS))
+                    worst_closed = max(worst_closed, ratio)
                     closed += 1
         missed += at_fallback_angles < 2 * len(FALLBACK_ANGLES)
+        for rad in SUBNORMAL_ANGLES:
+            for count in SUBNORMAL_COUNTS:
+                result = sum_auto(SumSpec(rad, count, family), threshold=SUBNORMAL_THRESHOLD,
+                                  full_form=form)
+                ratio = _error_over_bound(result, rad, count, family, exact)
+                if result.method is Method.CLOSED_FORM:
+                    worst_closed = max(worst_closed, ratio)
+                    closed += 1
+                else:
+                    worst_fallback = max(worst_fallback, ratio)
+                    fallbacks += 1
     ok = worst_closed <= 2.0 and worst_fallback <= 1.0 and raised == missed == 0
     line = (
         f"[criterion 10] ClosedForm within 2(2m+1)eps of mpmath, m <= 10^15, "

@@ -550,3 +550,15 @@ def test_sum_auto_fallback_sums_at_the_reduced_angle(capsys):
     for l in range(1, m + 1):
         literal += math.cos(l * phi)
     assert json.loads(out)["value"].hex() == literal.hex()
+
+
+def test_sum_auto_at_a_subnormal_angle_with_an_odd_last_bit(capsys):
+    # phi / 2 rounds here, so the half-angle ratio takes its numerator and its
+    # denominator at the same rounded angle; every term is 1.0
+    argv = ["sum", "--phi", "1.5e-323", "--m", "10", "--threshold", "5e-324"]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["method"]) == (10.0, "ClosedForm")
+    code, out = run_capture(capsys, argv + ["--method", "naive"])
+    assert (code, json.loads(out)["value"]) == (0, 10.0)

@@ -30,8 +30,8 @@ from trigsum.kernels import (
     _PI,
     _PI_SHIFT,
     _PI_SPLIT,
-    _TWO_PI_SPLIT,
     RunningSumPlan,
+    _ratio,
     _reduced,
     _split_reduced,
 )
@@ -306,7 +306,7 @@ def test_sum_auto_fallback_at_pi():
 def test_sum_auto_closed_form():
     result = sum_auto(spec(1.0, 10))
     assert result.method is Method.CLOSED_FORM
-    # j = 0: the Lagrange body at the angle's own bits, whichever form guards
+    # j = 0 at a normal angle: lagrange_sum's bits, whichever form guards
     assert result.value == lagrange_sum(1.0, 10)
     assert result.value == pytest.approx(halfangle_free_sum(1.0, 10), abs=1e-12)
 
@@ -507,15 +507,8 @@ def true_sum(rad, count, family):
         return mpmath.sin(2 * count * a) / (2 * mpmath.sin(a))
 
 
-#: Each family's split: 1 / period, then the pieces c1, c2, c3; and the period
-#: times 2**_PI_SHIFT that it splits.
-SPLITS = {Family.FULL: (_TWO_PI_SPLIT, _PI << 1), Family.EVEN: (_PI_SPLIT, _PI),
-          Family.ODD: (_PI_SPLIT, _PI)}
-
-
-@pytest.mark.parametrize("family", list(Family))
-def test_split_leading_pieces_have_at_most_thirty_significant_bits(family):
-    (_, c1, c2, c3), _ = SPLITS[family]
+def test_split_leading_pieces_have_at_most_thirty_significant_bits():
+    _, c1, c2, c3 = _PI_SPLIT
     for piece in (c1, c2):
         numerator, _ = piece.as_integer_ratio()  # lowest terms: odd over a power of two
         assert numerator.bit_length() <= 30
@@ -523,49 +516,46 @@ def test_split_leading_pieces_have_at_most_thirty_significant_bits(family):
     assert c2 < math.ulp(c1) * 2**23 and c3 < c2 * 2.0**-29
 
 
-@pytest.mark.parametrize("family", list(Family))
-def test_split_sums_to_the_period_to_105_bits(family):
-    (inv, c1, c2, c3), period = SPLITS[family]
-    exact = Fraction(period, 1 << _PI_SHIFT)
+def test_split_sums_to_the_period_to_105_bits():
+    inv, c1, c2, c3 = _PI_SPLIT
+    exact = Fraction(_PI, 1 << _PI_SHIFT)
     pieces = Fraction(c1) + Fraction(c2) + Fraction(c3)
     assert abs(pieces - exact) <= exact * Fraction(1, 2**105)
     assert inv == float(1 / exact)
 
 
-def split_cases(family, rng):
+def split_cases(rng):
     """About 35000 angles over the split's domain and its edges, negatives too."""
-    period = 2 * PI if family is Family.FULL else PI
-    edge = 2.0**20 * period
+    edge = 2.0**20 * PI
     cases = [rng.uniform(-edge, edge) for _ in range(10000)]
-    cases += [rng.uniform(-8 * period, 8 * period) for _ in range(4000)]
-    # nextafter steps around k * period, for small k, for odd k, and for k up to 2**20
+    cases += [rng.uniform(-8 * PI, 8 * PI) for _ in range(4000)]
+    # nextafter steps around k * pi, for small k, for odd k, and for k up to 2**20
     ks = [*range(1, 200), *rng.sample(range(1, 2**20), 600), 2**20 - 1, 2**20 - 2]
     for k in ks:
-        x = k * period
+        x = k * PI
         for _ in range(4):
             x = math.nextafter(x, -math.inf)
         for _ in range(9):
             cases.append(x)
             x = math.nextafter(x, math.inf)
-    # |rad / period| just under and just over 2**20
-    for x in (edge, edge - 0.25 * period, edge + 0.25 * period, edge - 1e-3, edge + 1e-3):
+    # |rad / pi| just under and just over 2**20
+    for x in (edge, edge - 0.25 * PI, edge + 0.25 * PI, edge - 1e-3, edge + 1e-3):
         for step in range(-40, 41):
             cases.append(x + step * math.ulp(x))
     # |r| just under and just over 2**-20
     for k in ks[::3]:
         for t in (0.98, 0.999, 1.0, 1.001, 1.02, 1.5):
             for sign in (1.0, -1.0):
-                cases.append(k * period + sign * t * 2.0**-20)
+                cases.append(k * PI + sign * t * 2.0**-20)
     return cases + [-x for x in cases]
 
 
-@pytest.mark.parametrize("family", list(Family))
-def test_split_reduced_within_one_ulp_of_reduced(family):
-    rng = random.Random(f"split {family.value}")
+def test_split_reduced_within_one_ulp_of_reduced():
+    rng = random.Random("split odd")
     checked = 0
-    for rad in split_cases(family, rng):
-        r, sign = _split_reduced(rad, family)
-        exact, exact_sign = _reduced(rad, family)
+    for rad in split_cases(rng):
+        r, sign = _split_reduced(rad)
+        exact, exact_sign = _reduced(rad, Family.ODD)
         assert sign == exact_sign, rad
         if exact.hex() == rad.hex():  # j = 0
             assert r.hex() == rad.hex()
@@ -575,44 +565,67 @@ def test_split_reduced_within_one_ulp_of_reduced(family):
     assert checked >= 10**5 // 3
 
 
-@pytest.mark.parametrize("family", list(Family))
-def test_split_reduced_is_reduced_outside_its_domain(family):
-    period = 2 * PI if family is Family.FULL else PI
-    outside = [2.0**20 * period * 1.001, 1e7, 1e10, 123456789012.5, 1e300, 1.7976931348623157e308,
+def test_split_reduced_is_reduced_outside_its_domain():
+    outside = [2.0**20 * PI * 1.001, 1e7, 1e10, 123456789012.5, 1e300, 1.7976931348623157e308,
                *HUGE]
-    # |r| below 2**-20: the double nearest k * period, and offsets under 2**-20
+    # |r| below 2**-20: the double nearest k * pi, and offsets under 2**-20
     for k in (1, 2, 3, 1001, 12345, 2**20 - 1):
-        outside += [k * period, k * period + 1e-7, k * period - 9e-7, k * period + 3e-12]
+        outside += [k * PI, k * PI + 1e-7, k * PI - 9e-7, k * PI + 3e-12]
     for rad in outside + [-x for x in outside]:
-        exact = _reduced(rad, family)
-        assert abs(exact[0]) < 2.0**-20 or abs(rad / period) >= 2.0**20, rad
-        assert _split_reduced(rad, family) == exact, rad
+        exact = _reduced(rad, Family.ODD)
+        assert abs(exact[0]) < 2.0**-20 or abs(rad / PI) >= 2.0**20, rad
+        assert _split_reduced(rad) == exact, rad
 
 
-@pytest.mark.parametrize("family", list(Family))
-def test_split_reduced_may_take_the_other_integer_at_a_half_period(family):
-    # where rad / period lies next to a half-integer, j may be either integer
-    # beside it: r then lies just past the half-period, one period from
-    # _reduced's, and the odd family's sign follows j
-    period = 2 * PI if family is Family.FULL else PI
+def test_split_reduced_may_take_the_other_integer_at_a_half_period():
+    # where rad / pi lies next to a half-integer, j may be either integer
+    # beside it: r then lies just past pi / 2, pi from _reduced's, and the
+    # sign follows j
     other = 0
     for k in (0, 1, 2, 7, 100, 12345, 2**19 + 3, 2**20 - 2):
-        x = (k + 0.5) * period
+        x = (k + 0.5) * PI
         for _ in range(6):
             x = math.nextafter(x, -math.inf)
         for _ in range(13):
             for rad in (x, -x):
-                r, sign = _split_reduced(rad, family)
-                exact, exact_sign = _reduced(rad, family)
+                r, sign = _split_reduced(rad)
+                exact, exact_sign = _reduced(rad, Family.ODD)
                 if abs(r - exact) <= math.ulp(exact):
                     assert sign == exact_sign
                     continue
                 other += 1
-                assert abs(abs(r - exact) - period) <= 4 * math.ulp(period), rad
-                assert abs(r) < period / 2 + 1e-8
-                assert sign == (-exact_sign if family is Family.ODD else exact_sign)
+                assert abs(abs(r - exact) - PI) <= 4 * math.ulp(PI), rad
+                assert abs(r) < PI / 2 + 1e-8
+                assert sign == -exact_sign
             x = math.nextafter(x, math.inf)
     assert other > 0
+
+
+def exact_ratio(rad, n):
+    """sin(n a) / sin a at the double a = rad, to 4000 bits; n at a = 0."""
+    if rad == 0.0:
+        return mpmath.mpf(n)
+    with mpmath.workprec(4000):
+        a = mpmath.mpf(rad)
+        return mpmath.sin(n * a) / mpmath.sin(a)
+
+
+def test_ratio_within_two_n_eps_of_the_exact_ratio():
+    angles = [0.0, 5e-324, 1e-300, 1e-9, 0.3, -1.5, PI / 2, PI, -PI, 2 * PI, 3 * PI + 1e-9,
+              1000 * PI - 1e-7, 2.0**20 * PI + 2.0**-20, 12345.6, 1e10, *HUGE, -1e300,
+              1.7976931348623157e308]
+    for n in (1, 2, 3, 10, 1001, 10**6, 2**40):
+        for rad in angles:
+            error = abs(_ratio(rad, n) - exact_ratio(rad, n))
+            assert error <= 2 * n * 2.0**-52, (rad, n)
+
+
+def test_ratio_takes_the_limit_where_the_sine_vanishes():
+    for n in (1, 2, 7, 10**6, 2**60):
+        assert _ratio(0.0, n) == _ratio(-0.0, n) == float(n)
+    # U_{n-1}(-1) = (-1)**(n-1) n, and pi's double lies next to pi
+    assert _ratio(PI, 7) == pytest.approx(7.0, abs=1e-13)
+    assert _ratio(PI, 8) == pytest.approx(-8.0, abs=1e-13)
 
 
 def test_sum_auto_full_family_at_the_least_angle():

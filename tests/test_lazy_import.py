@@ -21,7 +21,7 @@ LOADED = {
     "construct": {"angle", "chebyshev", "errors", "formatting", "geometry"},
     "sum": {"angle", "errors", "formatting", "kernels"},
     "verify": {"angle", "errors", "formatting", "kernels", "verify"},
-    "orbit": {"angle", "chebyshev", "errors", "formatting", "geometry", "orbit"},
+    "orbit": {"angle", "chebyshev", "errors", "formatting", "geometry", "kernels", "orbit"},
     "bench": {"angle", "bench", "errors", "formatting", "kernels"},
 }
 

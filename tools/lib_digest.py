@@ -26,6 +26,18 @@ COUNTS = (1, 2, 7, 8, 9, 64, 1000)
 #: Angles whose scaled arguments overflow, and one far from the first period:
 #: sum_auto's closed forms run at the reduced angle there.
 REDUCED_ANGLES = tuple(map(repr, (1e300, -1e300, 1e308, 1e5 * math.pi + 3e-4)))
+#: Counts next to 2**52 and 2**53, where the scaled arguments of sum_auto's
+#: closed forms start to round.
+EDGE_COUNTS = (2**52 - 1, 2**52 + 1, 2**53 - 1)
+#: Subnormal angles with an even last bit, so that phi / 2 is exact; the least
+#: positive threshold keeps them on the closed forms.
+SUBNORMAL_ANGLES = tuple(map(repr, (2 * 5e-324, 4 * 5e-324, 1000 * 5e-324, 2**20 * 5e-324)))
+#: Angles whose remainder modulo 2 pi lies in or next to [2**-20, 2**-19), at
+#: the edge of the split reduction's domain for the full family's half angle.
+NEAR_TWO_PI_K = tuple(repr(k * 2 * math.pi + t * 2.0**-20)
+                      for k in (1, 3, 1000, 2**19 + 1) for t in (1.0, 1.37, -1.73))
+#: Each family with a form that guards it, as sum_auto's keyword suffix.
+FAMILY_FORMS = (("FULL", "'halfangle'"), ("FULL", "'lagrange'"), ("EVEN", None), ("ODD", None))
 #: Unsorted, with repeats.
 MIXED_COUNTS = "(9, 1, 1000, 9, 64, 2)"
 KERNELS = ("lagrange_sum", "halfangle_free_sum", "even_index_sum", "odd_index_sum")
@@ -47,13 +59,21 @@ GRIDS = (
 def calls() -> list[str]:
     """Every call, in a fixed order."""
     out = []
-    for family, form in (("FULL", "'halfangle'"), ("FULL", "'lagrange'"), ("EVEN", None),
-                         ("ODD", None)):
+    for family, form in FAMILY_FORMS:
         suffix = f", full_form={form}" if form else ""
         out += [f"sum_auto(SumSpec({phi}, {count}, Family.{family}){suffix})"
                 for phi in ANGLES for count in COUNTS]
         out += [f"sum_auto(SumSpec({phi}, {count}, Family.{family}){suffix})"
                 for phi in REDUCED_ANGLES for count in (7, 1000)]
+    for family, form in FAMILY_FORMS:
+        suffix = f", full_form={form}" if form else ""
+        out += [f"sum_auto(SumSpec({phi}, {count}, Family.{family}){suffix})"
+                for phi in ("0.3", "2.5", "123456.789", "1e300") for count in EDGE_COUNTS]
+        out += [f"sum_auto(SumSpec({phi}, {count}, Family.{family}), threshold=5e-324{suffix})"
+                for phi in SUBNORMAL_ANGLES for count in (1, 10, 10**6)]
+    out += [f"sum_auto(SumSpec({phi}, {count}), threshold=1e-07, full_form={form})"
+            for form in ("'halfangle'", "'lagrange'") for phi in NEAR_TWO_PI_K
+            for count in (7, 1000, 10**6)]
     for kernel in KERNELS:
         out += [f"{kernel}({phi}, {count}{threshold})"
                 for threshold in ("", ", threshold=0.0") for phi in ANGLES for count in COUNTS]
