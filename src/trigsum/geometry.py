@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import cycle, islice
 from typing import Container, Iterator, Sequence
 
-from .angle import Angle, Record, _index, _isfinite, _setattr, as_angle, as_count
+from .angle import Angle, Record, _index, _isfinite, as_angle, as_count
 from .chebyshev import _check_degree, _u, chebyshev_u  # perfbench patches chebyshev_u here
 from .errors import CountOutOfRange, ExcludedAngle, SingularAngle
 from .formatting import csv_text, json_line
@@ -49,8 +49,11 @@ class Point2(Record):
     def __init__(self, x: float, y: float) -> None:
         if not (_isfinite(x) and _isfinite(y)):
             raise ValueError(f"coordinates must be finite, got ({x!r}, {y!r})")
-        _setattr(self, "x", x)
-        _setattr(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
+
+
+_set_x, _set_y = Point2.x.__set__, Point2.y.__set__
 
 
 class ConstructionConfig(Record):

@@ -28,7 +28,7 @@ import math
 from enum import Enum
 from typing import Callable, Sequence
 
-from .angle import Angle, Record, _setattr, as_angle, as_count, as_counts
+from .angle import Angle, Record, as_angle, as_count, as_counts
 from .errors import SingularDenominator
 
 #: Fallback/guard threshold on the denominator magnitude. At 1e-4 a closed
@@ -57,24 +57,16 @@ class SumSpec(Record):
     def __init__(self, angle: Angle | float, count: int,
                  family: Family | str = Family.FULL) -> None:
         # an Angle skips the call
-        _setattr(self, "angle", angle if angle.__class__ is Angle else as_angle(angle))
+        _set_angle(self, angle if angle.__class__ is Angle else as_angle(angle))
         if count.__class__ is not int or count < 1:  # an int >= 1 skips the call
             count = as_count(count, "count")
-        _setattr(self, "count", count)
-        _setattr(self, "family", family if family.__class__ is Family else Family(family))
+        _set_count(self, count)
+        _set_family(self, family if family.__class__ is Family else Family(family))
 
 
 class Method(Enum):
     CLOSED_FORM = "ClosedForm"
     NAIVE_FALLBACK = "NaiveFallback"
-
-
-# sum_auto's members, bound once: on the query path a module global is cheaper
-# than the Enum class attribute, and identity than the Enum's value property.
-_FULL = Family.FULL
-_ODD = Family.ODD
-_CLOSED_FORM = Method.CLOSED_FORM
-_NAIVE_FALLBACK = Method.NAIVE_FALLBACK
 
 
 class SumValue(Record):
@@ -89,9 +81,19 @@ class SumValue(Record):
     __slots__ = ("value", "method", "singular_proximity")
 
     def __init__(self, value: float, method: Method, singular_proximity: float) -> None:
-        _setattr(self, "value", value)
-        _setattr(self, "method", method)
-        _setattr(self, "singular_proximity", singular_proximity)
+        _set_value(self, value)
+        _set_method(self, method)
+        _set_proximity(self, singular_proximity)
+
+
+# The per-query records' setters and sum_auto's members, bound once: a module global
+# is cheaper than a class attribute, and identity than the Enum's value property.
+_set_angle, _set_count, _set_family = (
+    SumSpec.angle.__set__, SumSpec.count.__set__, SumSpec.family.__set__)
+_set_value, _set_method, _set_proximity = (
+    SumValue.value.__set__, SumValue.method.__set__, SumValue.singular_proximity.__set__)
+_FULL, _ODD = Family.FULL, Family.ODD
+_CLOSED_FORM, _NAIVE_FALLBACK = Method.CLOSED_FORM, Method.NAIVE_FALLBACK
 
 
 def _multiples(family: Family, done: int, count: int) -> range:
@@ -191,7 +193,7 @@ def _split(period: int) -> tuple[float, float, float, float]:
     return (unit / period, *pieces, rest / unit)
 
 
-_PI_SPLIT = _split(_PI)
+_PI_SPLIT = _INV_PI, _PI_C1, _PI_C2, _PI_C3 = _split(_PI)
 
 
 def _split_reduced(rad: float) -> tuple[float, float]:
@@ -205,12 +207,11 @@ def _split_reduced(rad: float) -> tuple[float, float]:
     half-integer can j be the other integer next to it, and r then lies just
     past pi / 2, which _ratio does not mind.
     """
-    inv, c1, c2, c3 = _PI_SPLIT
-    q = rad * inv
+    q = rad * _INV_PI
     j = (q + _ROUND) - _ROUND
     if not j:
         return rad, 1.0
-    r = ((rad - j * c1) - j * c2) - j * c3
+    r = ((rad - j * _PI_C1) - j * _PI_C2) - j * _PI_C3
     if q * q < _SPLIT_MAX and r * r > _SPLIT_MIN:
         return r, -1.0 if j % 2.0 else 1.0
     return _reduced(rad, _ODD)

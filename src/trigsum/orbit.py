@@ -13,9 +13,10 @@ import math
 from enum import Enum
 
 from .angle import Record, as_count, inclusive_grid
+from .errors import CountOutOfRange
 from .formatting import csv_text, fmt12, json_line
 from .geometry import TWO_PI, chebyshev_form_point  # perfbench patches the last
-from .kernels import _ratio
+from .kernels import _ratio, _split_reduced
 
 
 class EmitFormat(Enum):
@@ -43,7 +44,13 @@ def orbit_samples(
     """Sample the orbit of A_n uniformly, inclusive of both endpoints."""
     n = as_count(n, "n")
     grid = inclusive_grid(alpha_min, alpha_max, steps, "alpha")
-    samples = [(a, math.cos(a) * u, math.sin(a) * u) for a in grid for u in (_ratio(a, n),)]
+    try:
+        samples = [(a, math.cos(a) * u, math.sin(a) * u) for a in grid for u in (_ratio(a, n),)]
+    except (ValueError, OverflowError):  # n * r is inf (n > 1.1e308), or float(n) fails
+        alpha = next(a for a in inclusive_grid(alpha_min, alpha_max, steps, "alpha")
+                     if n >= 2**1024 - 2**970 or math.isinf(n * _split_reduced(a)[0]))
+        raise CountOutOfRange(f"n = {n} is too large: n times alpha reduced modulo pi "
+                              f"overflows a float at alpha = {alpha!r}") from None
     # float bounds render like the samples: 1e+17, not 100000000000000000
     return OrbitCurve(n, float(alpha_min), float(alpha_max), steps, tuple(samples))
 

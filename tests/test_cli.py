@@ -200,6 +200,27 @@ def test_orbit_bad_range_exit(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, alpha_min, alpha", [
+    ("15" + "0" * 307, "1.5", "1.5"),  # n * r overflows to inf
+    ("2" + "0" * 308, "0.1", "0.1"),  # n itself is past the largest double
+], ids=["1.5e308", "2e308"])
+def test_orbit_count_that_overflows_exits_1_naming_it(capsys, n, alpha_min, alpha):
+    code = run(["orbit", "--n", n, "--alpha-min", alpha_min, "--alpha-max", "1.6",
+                "--steps", "3", "--format", "csv"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: n = {n} is too large: ")
+    assert err.endswith(f" at alpha = {alpha}\n")
+
+
+def test_orbit_count_of_ten_to_the_308_at_a_small_angle(capsys):
+    code, out = run_capture(capsys, ["orbit", "--n", "1" + "0" * 308, "--alpha-min", "0.1",
+                                     "--alpha-max", "0.2", "--steps", "3", "--format", "csv"])
+    assert code == 0
+    assert len(out.splitlines()) == 4
+
+
 def test_out_file_not_created_on_error(tmp_path):
     target = tmp_path / "points.csv"
     code = run(["construct", "--alpha", HALF_PI_STR, "--n", "3", "--out", str(target)])

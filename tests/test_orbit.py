@@ -12,6 +12,7 @@ from trigsum import (
     Angle,
     BadRange,
     ConstructionConfig,
+    CountOutOfRange,
     EmitFormat,
     chebyshev_form_point,
     construct_points,
@@ -120,6 +121,34 @@ def test_range_validation():
     assert len(orbit_samples(MAX_DEGREE + 2, 0.0, 1.0, 3).samples) == 3
     with pytest.raises(BadRange):
         orbit_samples(MAX_DEGREE + 2, 1.0, 0.5, 3)
+
+
+#: The least int that float() rejects.
+FLOAT_LIMIT = 2**1024 - 2**970
+
+
+@pytest.mark.parametrize("n, alpha_min, alpha_max, alpha", [
+    (15 * 10**307, 1.5, 1.6, 1.5),  # n * r is inf at every angle
+    (15 * 10**307, 1.0, 1.6, 1.3),  # 1.5e308 * 1.0 fits, 1.5e308 * 1.3 does not
+    (FLOAT_LIMIT - 1, 0.1, 1.6, 1.6),  # n rounds to the largest double
+    (FLOAT_LIMIT, 0.0, 0.2, 0.0),  # n itself is no float, even where r = 0
+    (10**400, -0.2, 0.2, -0.2),
+], ids=["1.5e308-inf-everywhere", "1.5e308-fits-at-1.0", "largest-double", "no-float",
+        "10**400"])
+def test_count_whose_product_overflows_names_the_angle(n, alpha_min, alpha_max, alpha):
+    with pytest.raises(CountOutOfRange, match=f"^n = {n} is too large: .* at alpha = {alpha}$"):
+        orbit_samples(n, alpha_min, alpha_max, 3)
+
+
+@pytest.mark.parametrize("n, alpha_min, alpha_max", [
+    (10**308, 0.1, 0.2),
+    (10**308, 0.0, 1.7),  # 1e308 * pi / 2 fits
+    (10**308, -3.2, 3.2),  # +-3.2 reduce to +-(3.2 - pi)
+    (FLOAT_LIMIT - 1, 0.0, 0.9),  # the largest double times r < 1
+], ids=["1e308-small", "1e308-to-pi/2", "1e308-both-signs", "largest-double-r<1"])
+def test_largest_counts_that_fit_still_sample(n, alpha_min, alpha_max):
+    curve = orbit_samples(n, alpha_min, alpha_max, 3)
+    assert all(math.isfinite(v) for sample in curve.samples for v in sample)
 
 
 def test_csv_emission():

@@ -9,13 +9,16 @@ pickle and copy unchanged.
 """
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 from dataclasses import make_dataclass
 
 import pytest
 
-from trigsum.angle import Angle
+import trigsum
+from trigsum.angle import Angle, Record
 from trigsum.bench import BenchResult
 from trigsum.geometry import ConstructionConfig, Line, Point2, PointSeq
 from trigsum.kernels import ROUTES, Family, Method, Route, SumSpec, SumValue
@@ -56,6 +59,14 @@ CASES = [
 ]
 
 IDS = [case[0].__name__ for case in CASES]
+
+
+def test_cases_name_every_record_type():
+    # a record added to any module cannot skip the contract below
+    for module in pkgutil.iter_modules(trigsum.__path__):
+        importlib.import_module(f"trigsum.{module.name}")
+    records = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("trigsum.")}
+    assert records == {case[0] for case in CASES}
 
 
 def read(value, names) -> dict:
