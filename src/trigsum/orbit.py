@@ -49,7 +49,9 @@ def orbit_samples(
     except (ValueError, OverflowError):  # n * r is inf (n > 1.1e308), or float(n) fails
         alpha = next(a for a in inclusive_grid(alpha_min, alpha_max, steps, "alpha")
                      if n >= 2**1024 - 2**970 or math.isinf(n * _split_reduced(a)[0]))
-        raise CountOutOfRange(f"n = {n} is too large: n times alpha reduced modulo pi "
+        # below 2**2048 (617 digits) str(n) is within any int_max_str_digits (640 at least)
+        name = f"n = {n}" if n.bit_length() <= 2048 else f"n of {n.bit_length()} bits"
+        raise CountOutOfRange(f"{name} is too large: n times alpha reduced modulo pi "
                               f"overflows a float at alpha = {alpha!r}") from None
     # float bounds render like the samples: 1e+17, not 100000000000000000
     return OrbitCurve(n, float(alpha_min), float(alpha_max), steps, tuple(samples))

@@ -127,16 +127,19 @@ def test_range_validation():
 FLOAT_LIMIT = 2**1024 - 2**970
 
 
-@pytest.mark.parametrize("n, alpha_min, alpha_max, alpha", [
-    (15 * 10**307, 1.5, 1.6, 1.5),  # n * r is inf at every angle
-    (15 * 10**307, 1.0, 1.6, 1.3),  # 1.5e308 * 1.0 fits, 1.5e308 * 1.3 does not
-    (FLOAT_LIMIT - 1, 0.1, 1.6, 1.6),  # n rounds to the largest double
-    (FLOAT_LIMIT, 0.0, 0.2, 0.0),  # n itself is no float, even where r = 0
-    (10**400, -0.2, 0.2, -0.2),
+@pytest.mark.parametrize("n, alpha_min, alpha_max, alpha, name", [
+    (15 * 10**307, 1.5, 1.6, 1.5, None),  # n * r is inf at every angle
+    (15 * 10**307, 1.0, 1.6, 1.3, None),  # 1.5e308 * 1.0 fits, 1.5e308 * 1.3 does not
+    (FLOAT_LIMIT - 1, 0.1, 1.6, 1.6, None),  # n rounds to the largest double
+    (FLOAT_LIMIT, 0.0, 0.2, 0.0, None),  # n itself is no float, even where r = 0
+    (10**400, -0.2, 0.2, -0.2, None),
+    # past the interpreter's 4300-digit limit on int to str: named by its bits
+    (10**5000, 0.1, 0.2, 0.1, "n of 16610 bits"),
 ], ids=["1.5e308-inf-everywhere", "1.5e308-fits-at-1.0", "largest-double", "no-float",
-        "10**400"])
-def test_count_whose_product_overflows_names_the_angle(n, alpha_min, alpha_max, alpha):
-    with pytest.raises(CountOutOfRange, match=f"^n = {n} is too large: .* at alpha = {alpha}$"):
+        "10**400", "10**5000"])
+def test_count_whose_product_overflows_names_the_angle(n, alpha_min, alpha_max, alpha, name):
+    name = name or f"n = {n}"
+    with pytest.raises(CountOutOfRange, match=f"^{name} is too large: .* at alpha = {alpha}$"):
         orbit_samples(n, alpha_min, alpha_max, 3)
 
 

@@ -350,23 +350,38 @@ def test_projection_sweep_through_tangent_steps_is_accurate_and_byte_identical()
     assert report.to_csv() == expected.to_csv()
 
 
-def test_decomposition_sweep_makes_two_sines_per_count(monkeypatch):
-    # Counted through math.sin as the sweep looks it up when it prepares the
-    # pair; its calls run inside map(), where a profile hook sees no C call.
-    # The guarded denominators are route fields, bound when kernels loads.
+@pytest.mark.parametrize("pair, sines_per_point, sines_per_angle, oracle", [
+    # sin((2k+1)a) and sin(2ka), shared by the even, odd and whole-angle forms
+    (ResidualPair.DECOMPOSITION_VS_HALFANGLE, 2, 0, False),
+    # the closed form's sine, and sin(phi/2) of the guard, whose lambda looks
+    # math.sin up at each call
+    (ResidualPair.LAGRANGE_VS_NAIVE, 1, 1, True),
+    (ResidualPair.ODD_VS_NAIVE, 1, 0, True),
+], ids=["DecompositionVsHalfangle", "LagrangeVsNaive", "OddVsNaive"])
+def test_sweep_evaluates_each_side_once(monkeypatch, pair, sines_per_point, sines_per_angle,
+                                        oracle):
+    # Counted through math.sin and math.cos as the closed forms and the
+    # oracle pass look them up at each call; the sweep binds math.sin once
+    # per sweep, when it prepares the pair. The denominators of the routes
+    # that are math.sin itself were bound when kernels loaded. An oracle pair
+    # makes one ordered pass of max(counts) cosines per angle.
     grid = GridSpec(0.05, 3.0, 40, (1, 7, 7, 300, 2))
-    calls = 0
-    sin = math.sin
+    calls = {"sin": 0, "cos": 0}
 
-    def counted(x):
-        nonlocal calls
-        calls += 1
-        return sin(x)
+    def counted(name):
+        function = getattr(math, name)
 
-    expected = residual_sweep(grid, ResidualPair.DECOMPOSITION_VS_HALFANGLE)
-    monkeypatch.setattr(math, "sin", counted)
-    report = residual_sweep(grid, ResidualPair.DECOMPOSITION_VS_HALFANGLE)
+        def call(x):
+            calls[name] += 1
+            return function(x)
+
+        return call
+
+    expected = residual_sweep(grid, pair)
+    for name in calls:
+        monkeypatch.setattr(math, name, counted(name))
+    report = residual_sweep(grid, pair)
     assert report.skipped == 0
     assert report == expected
-    # sin((2k+1)a) and sin(2ka) per grid point, shared by the three forms
-    assert calls == 2 * len(grid.counts) * grid.steps
+    assert calls["sin"] == (sines_per_point * len(grid.counts) + sines_per_angle) * grid.steps
+    assert calls["cos"] == (max(grid.counts) * grid.steps if oracle else 0)

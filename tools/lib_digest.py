@@ -54,6 +54,21 @@ GRIDS = (
     "GridSpec(0.05, 6.2, 25, (33, 1, 8, 1, 2))",
     "GridSpec(1e-06, 2e-06, 3, (1, 2))",
 )
+#: The grids' upper end, 2 pi - 0.05, and the spacing of their 2000 angles.
+ACCEPTANCE_TOP = 2 * math.pi - 0.05
+ACCEPTANCE_STEP = (ACCEPTANCE_TOP - 0.05) / 1999
+#: The acceptance grids the sweep benchmark runs: criterion 1's, criterion
+#: 4's and the 500-angle projection grid.
+ACCEPTANCE_GRIDS = (
+    ("LagrangeVsNaive", f"GridSpec(0.05, {ACCEPTANCE_TOP!r}, 2000, "
+                        "tuple(range(1, 65)) + (100, 1000))"),
+    ("DecompositionVsHalfangle", f"GridSpec(0.05, {ACCEPTANCE_TOP!r}, 2000, "
+                                 "tuple(range(1, 513)))"),
+    ("ProjectionVsClosedForm", f"GridSpec(0.05, {ACCEPTANCE_TOP!r}, 500, (1, 10, 50, 100, 249))"),
+)
+#: The benchmark's first shard of criterion 4's grid: its angles 0, 25, ..., 1975.
+DECOMPOSITION_SHARD = (f"GridSpec(0.05, {0.05 + 79 * 25 * ACCEPTANCE_STEP!r}, 80, "
+                       "tuple(range(1, 513)))")
 
 
 def calls() -> list[str]:
@@ -135,6 +150,10 @@ def calls() -> list[str]:
     out += [f"projection_sums(ConstructionConfig({NEAR_TANGENT}, 500), Line.{line}, (500, 4, 330))"
             for line in ("X", "E")]
     out.append(f"construct_points(ConstructionConfig({NEAR_TANGENT}, 500)).to_json()")
+    out += [f"residual_sweep({grid}, ResidualPair({pair!r})).to_json()"
+            for pair, grid in ACCEPTANCE_GRIDS]
+    out.append(f"residual_sweep({DECOMPOSITION_SHARD}, "
+               "ResidualPair('DecompositionVsHalfangle'), keep_rows=True).to_csv()")
     return out
 
 
