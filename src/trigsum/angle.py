@@ -78,13 +78,25 @@ def as_angle(value: Angle | float) -> Angle:
     return Angle(float(value))
 
 
+def int_text(value: int | tuple[int, ...], name: str | None = None) -> str:
+    """An int for a message: its digits ("name = digits" given a name) up to 2048
+    bits, where str() is within any int_max_str_digits (617 digits against 640 at
+    least), else "name of B bits" ("an int", "a negative int" unnamed). A tuple
+    reads like its repr, each int by this rule."""
+    if value.__class__ is tuple:
+        return f"({', '.join(map(int_text, value))}{',' if len(value) == 1 else ''})"
+    if value.bit_length() <= 2048:
+        return str(value) if name is None else f"{name} = {value}"
+    return f"{name or ('a negative int' if value < 0 else 'an int')} of {value.bit_length()} bits"
+
+
 def as_count(value: int, name: str, least: int = 1) -> int:
     """value as an int >= least; a non-int goes through operator.index (a
     float raises TypeError), a smaller value raises ValueError naming it."""
     if value.__class__ is not int:
         value = _index(value)
     if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+        raise ValueError(f"{name} must be >= {least}, got {int_text(value)}")
     return value
 
 
@@ -93,7 +105,7 @@ def as_counts(values: Iterable[int]) -> tuple[int, ...]:
     one message names them all."""
     counts = tuple(map(_index, values))
     if any(count < 1 for count in counts):
-        raise ValueError(f"counts must all be >= 1, got {counts}")
+        raise ValueError(f"counts must all be >= 1, got {int_text(counts)}")
     return counts
 
 

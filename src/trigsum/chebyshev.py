@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING, Union
 
-from .angle import as_count
+from .angle import as_count, int_text
 from .errors import DegreeTooLarge
 
 #: Evaluation is O(degree); degrees above this are rejected.
@@ -73,5 +73,6 @@ def u_sequence(max_deg: int, x: FloatOrArray) -> list:
 def _check_degree(degree: int) -> int:
     degree = as_count(degree, "degree", least=0)
     if degree > MAX_DEGREE:
-        raise DegreeTooLarge(f"degree {degree} exceeds the configured maximum {MAX_DEGREE}")
+        raise DegreeTooLarge(f"{int_text(degree, 'degree')} exceeds the configured maximum "
+                             f"{MAX_DEGREE}")
     return degree

@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import cycle, islice
 from typing import Container, Iterator, Sequence
 
-from .angle import Angle, Record, _index, _isfinite, as_angle, as_count
+from .angle import Angle, Record, _index, _isfinite, as_angle, as_count, int_text
 from .chebyshev import _check_degree, _u, chebyshev_u  # perfbench patches chebyshev_u here
 from .errors import CountOutOfRange, ExcludedAngle, SingularAngle
 from .formatting import csv_text, json_line
@@ -226,7 +226,7 @@ def projection_sum(seq: PointSeq, target: Line | str, count: int) -> float:
     count = _index(count)
     if count < 1 or count > seq.segment_count:
         raise CountOutOfRange(
-            f"count must be in 1..{seq.segment_count}, got {count}"
+            f"count must be in 1..{seq.segment_count}, got {int_text(count)}"
         )
     rad = seq.alpha.radians
     dx, dy = _direction(Line(target), math.cos(rad), math.sin(rad))
@@ -251,7 +251,7 @@ def projection_sums(cfg: ConstructionConfig, target: Line | str,
     """
     counts = tuple(map(_index, counts))
     if any(count < 1 or count > cfg.n for count in counts):
-        raise CountOutOfRange(f"counts must be in 1..{cfg.n}, got {counts}")
+        raise CountOutOfRange(f"counts must be in 1..{cfg.n}, got {int_text(counts)}")
     totals = _projection_totals(cfg.alpha.radians, cfg.n, cfg.start_line, Line(target), set(counts))
     return [totals[count] for count in counts]
 

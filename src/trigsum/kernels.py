@@ -13,13 +13,13 @@ literal term-by-term sum when the denominator magnitude drops below a policy
 threshold. sum_auto evaluates both of its paths at a reduced angle, so their
 arguments stay small however large the angle: the fallback, the literal sum
 of the same terms, at the angle reduced exactly by the family's period, and
-the closed forms as one ratio, U_{n-1}(cos a) = sin(n a) / sin a (_ratio), at
-a reduced modulo pi by a Cody-Waite split (exactly where the split cannot
-vouch for it). The threshold test and the reported proximity stay on the
-given angle. The public kernels, naive_trig_sum and the running sums run at
-the angle they are given. ROUTES records each closed form with the sine it
-divides by; the kernels, sum_auto's guard, the sweeps and the CLI all take
-it from there.
+the closed forms as one ratio, U_{n-1}(cos a) = sin(n a) / sin a, in one core,
+_ratio, that reduces a modulo pi by a Cody-Waite split (exactly where the
+split cannot vouch for it) and divides. The threshold test and the reported
+proximity stay on the given angle. The public kernels, naive_trig_sum and the
+running sums run at the angle they are given. ROUTES records each closed form
+with the sine it divides by; the kernels, the sweeps and the CLI take it from
+there, and sum_auto's guard takes the same sine inline.
 """
 
 from __future__ import annotations
@@ -75,7 +75,9 @@ class SumValue(Record):
     singular_proximity is the magnitude of the selected form's denominator
     at the given angle; method is NaiveFallback exactly when it was below
     the policy threshold at dispatch time. Either way the value was
-    evaluated at the angle reduced by the family's period.
+    evaluated at the angle reduced by the family's period. sum_auto builds its
+    ClosedForm results by object.__new__ and the three slot setters, as
+    __init__ does (it checks nothing): the same record.
     """
 
     __slots__ = ("value", "method", "singular_proximity")
@@ -93,6 +95,7 @@ _set_angle, _set_count, _set_family = (
 _set_value, _set_method, _set_proximity = (
     SumValue.value.__set__, SumValue.method.__set__, SumValue.singular_proximity.__set__)
 _FULL, _ODD = Family.FULL, Family.ODD
+_new, _sin = object.__new__, math.sin
 _CLOSED_FORM, _NAIVE_FALLBACK = Method.CLOSED_FORM, Method.NAIVE_FALLBACK
 
 
@@ -170,7 +173,7 @@ def _reduced(rad: float, family: Family) -> tuple[float, float]:
 
 #: Significant bits of the split's two leading pieces.
 _SPLIT_BITS = 30
-#: _split_reduced's domain, |rad / pi| < 2**20 and |r| >= 2**-20, as
+#: The split's domain in _ratio, |rad / pi| < 2**20 and |r| >= 2**-20, as
 #: bounds on the squares: comparing a square takes two float operations.
 _SPLIT_MAX = 2.0**40
 _SPLIT_MIN = 2.0**-40
@@ -196,33 +199,27 @@ def _split(period: int) -> tuple[float, float, float, float]:
 _PI_SPLIT = _INV_PI, _PI_C1, _PI_C2, _PI_C3 = _split(_PI)
 
 
-def _split_reduced(rad: float) -> tuple[float, float]:
-    """_reduced(rad, Family.ODD), rad less its nearest multiple j of pi and
-    (-1)**j, in a few float operations.
+def _ratio(rad: float, n: int) -> float:
+    """sin(n a) / sin a = U_{n-1}(cos a) at a = rad, for n >= 1, in O(1), within
+    about n * eps at every angle: (-1)**(j (n - 1)) sin(n r) / sin r, or n at r = 0.
 
-    j is rad / pi rounded to an integer, and r = ((rad - j c1) - j c2) - j c3
-    lies within one ulp of rad - j * pi when |rad / pi| < 2**20 and
-    |r| >= 2**-20; elsewhere this returns _reduced(rad, Family.ODD). j = 0
-    gives rad's own bits. Only where rad / pi lies within about 2**-32 of a
-    half-integer can j be the other integer next to it, and r then lies just
-    past pi / 2, which _ratio does not mind.
+    The closed forms' one reduction, r = rad - j pi, is a Cody-Waite split: j
+    is rad / pi rounded, and r = ((rad - j c1) - j c2) - j c3 lies within one
+    ulp of it where |rad / pi| < 2**20 and |r| >= 2**-20; elsewhere r and
+    (-1)**j come from _reduced(rad, Family.ODD). j = 0 keeps rad's bits. Only
+    within about 2**-32 of a half-integer rad / pi can j be the other integer
+    beside it: r then lies just past pi / 2, which the ratio does not mind.
     """
     q = rad * _INV_PI
     j = (q + _ROUND) - _ROUND
     if not j:
-        return rad, 1.0
+        return _sin(n * rad) / _sin(rad) if rad else float(n)
     r = ((rad - j * _PI_C1) - j * _PI_C2) - j * _PI_C3
     if q * q < _SPLIT_MAX and r * r > _SPLIT_MIN:
-        return r, -1.0 if j % 2.0 else 1.0
-    return _reduced(rad, _ODD)
-
-
-def _ratio(rad: float, n: int) -> float:
-    """sin(n a) / sin a = U_{n-1}(cos a) at a = rad, for n >= 1, in O(1): with
-    r = rad - j pi from _split_reduced, (-1)**(j (n - 1)) sin(n r) / sin r, or
-    n at r = 0. Within about n * eps of the exact ratio at every angle."""
-    r, sign = _split_reduced(rad)
-    value = math.sin(n * r) / math.sin(r) if r else float(n)
+        sign = -1.0 if j % 2.0 else 1.0
+    else:
+        r, sign = _reduced(rad, _ODD)
+    value = _sin(n * r) / _sin(r) if r else float(n)
     return value if n & 1 else sign * value
 
 
@@ -443,16 +440,16 @@ def sum_auto(
     (U_{2k}(cos a) - 1) / 2, and the full family's the even one's at
     a = phi / 2, whichever form guards. Both paths take every finite angle,
     1e308 included; the reported proximity is the guard's, at the given
-    angle.
+    angle: the sine ROUTES records for the form, here taken inline.
     """
     if not threshold > 0.0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     if full_form not in FULL_FORMS:
         raise ValueError(f"full_form must be one of {FULL_FORMS}, got {full_form!r}")
     family = spec.family
-    route = ROUTES[full_form if family is _FULL else family._value_]
     rad = spec.angle.radians
-    proximity = abs(route.denominator(rad))
+    # ROUTES[...].denominator(rad), inline: sin(phi/2) for lagrange, else sin(phi)
+    proximity = abs(_sin(0.5 * rad if family is _FULL and full_form == "lagrange" else rad))
     count = spec.count
     if proximity < threshold:
         r, sign = _reduced(rad, family)
@@ -462,4 +459,8 @@ def sum_auto(
         value = 0.5 * _ratio(rad, 2 * count)
     else:
         value = 0.5 * (_ratio(0.5 * rad if family is _FULL else rad, 2 * count + 1) - 1.0)
-    return SumValue(value, _CLOSED_FORM, proximity)
+    result = _new(SumValue)  # SumValue.__init__ sets these three and checks nothing
+    _set_value(result, value)
+    _set_method(result, _CLOSED_FORM)
+    _set_proximity(result, proximity)
+    return result

@@ -4,7 +4,8 @@ For fixed n the point A_n sweeps the curve
 (cos a * U_{n-1}(cos a), sin a * U_{n-1}(cos a)) as the opening angle a runs
 over a range. Each sample takes U_{n-1}(cos a) from kernels._ratio: O(1) in n,
 within about n * eps, and total, so the curve crosses the sin a = 0 angles
-without gaps where the cotangent form would blow up.
+without gaps where the cotangent form would blow up. Where n times the
+reduced angle overflows a float, CountOutOfRange names the angle it fails at.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .angle import Record, as_count, inclusive_grid
+from .angle import Record, as_count, inclusive_grid, int_text
 from .errors import CountOutOfRange
 from .formatting import csv_text, fmt12, json_line
 from .geometry import TWO_PI, chebyshev_form_point  # perfbench patches the last
-from .kernels import _ratio, _split_reduced
+from .kernels import _ratio
 
 
 class EmitFormat(Enum):
@@ -43,16 +44,15 @@ def orbit_samples(
 ) -> OrbitCurve:
     """Sample the orbit of A_n uniformly, inclusive of both endpoints."""
     n = as_count(n, "n")
-    grid = inclusive_grid(alpha_min, alpha_max, steps, "alpha")
+    grid = inclusive_grid(alpha_min, alpha_max, steps, "alpha")  # BadRange before the try
+    samples = []
     try:
-        samples = [(a, math.cos(a) * u, math.sin(a) * u) for a in grid for u in (_ratio(a, n),)]
+        for alpha in grid:
+            u = _ratio(alpha, n)
+            samples.append((alpha, math.cos(alpha) * u, math.sin(alpha) * u))
     except (ValueError, OverflowError):  # n * r is inf (n > 1.1e308), or float(n) fails
-        alpha = next(a for a in inclusive_grid(alpha_min, alpha_max, steps, "alpha")
-                     if n >= 2**1024 - 2**970 or math.isinf(n * _split_reduced(a)[0]))
-        # below 2**2048 (617 digits) str(n) is within any int_max_str_digits (640 at least)
-        name = f"n = {n}" if n.bit_length() <= 2048 else f"n of {n.bit_length()} bits"
-        raise CountOutOfRange(f"{name} is too large: n times alpha reduced modulo pi "
-                              f"overflows a float at alpha = {alpha!r}") from None
+        raise CountOutOfRange(f"{int_text(n, 'n')} is too large: n times alpha reduced modulo "
+                              f"pi overflows a float at alpha = {alpha!r}") from None
     # float bounds render like the samples: 1e+17, not 100000000000000000
     return OrbitCurve(n, float(alpha_min), float(alpha_max), steps, tuple(samples))
 

@@ -11,11 +11,16 @@ import pytest
 
 from trigsum import (
     ConstructionConfig,
+    CountOutOfRange,
+    DegreeTooLarge,
     EmitFormat,
     Family,
     GridSpec,
     Line,
     ResidualPair,
+    SumSpec,
+    chebyshev_form_point,
+    chebyshev_u,
     closed_form_point,
     construct_points,
     emit,
@@ -25,14 +30,17 @@ from trigsum import (
     projection_sum,
     projection_sums,
     residual_sweep,
+    u_sequence,
 )
 
 SEQ = construct_points(ConstructionConfig(0.9, 5))
 CURVE = orbit_samples(3, steps=9)
 GRID = GridSpec(0.1, 3.0, 5, (1, 4))
+HUGE = 10**5000
 
-#: name -> (call, expected): the exception type the call raises, or a call
-#: over Enum members whose result the first call's equals.
+#: name -> (call, expected): the exception type the call raises, that type
+#: with its message, or a call over Enum members whose result the first
+#: call's equals.
 INTAKE = {
     "grid-float-count": (lambda: GridSpec(0.1, 3.0, 5, (2.5,)), TypeError),
     "construction-float-n": (lambda: ConstructionConfig(0.9, 2.5), TypeError),
@@ -60,6 +68,28 @@ INTAKE = {
     "emit-format-value": (lambda: emit(CURVE, "csv"), lambda: emit(CURVE, EmitFormat.CSV)),
     "sweep-pair-value": (lambda: residual_sweep(GRID, "LagrangeVsNaive"),
                          lambda: residual_sweep(GRID, ResidualPair.LAGRANGE_VS_NAIVE)),
+    # past the interpreter's 4300-digit limit on int to str: named by its bits
+    "spec-huge-negative-count": (lambda: SumSpec(1.0, -HUGE), (
+        ValueError, "count must be >= 1, got a negative int of 16610 bits")),
+    "orbit-huge-negative-n": (lambda: orbit_samples(-HUGE), (
+        ValueError, "n must be >= 1, got a negative int of 16610 bits")),
+    "line-for-huge-negative-index": (lambda: line_for_index(-HUGE, "x"), (
+        ValueError, "index must be >= 0, got a negative int of 16610 bits")),
+    "running-sums-huge-negative-count": (lambda: naive_running_sums(1.0, "full", (3, -HUGE)), (
+        ValueError, r"counts must all be >= 1, got \(3, a negative int of 16610 bits\)")),
+    "grid-huge-negative-count": (lambda: GridSpec(0.1, 3.0, 5, (-HUGE,)), (
+        ValueError, r"counts must all be >= 1, got \(a negative int of 16610 bits,\)")),
+    "projection-sum-huge-count": (lambda: projection_sum(SEQ, "x", HUGE), (
+        CountOutOfRange, "count must be in 1..5, got an int of 16610 bits")),
+    "projection-sums-huge-count": (
+        lambda: projection_sums(ConstructionConfig(0.9, 5), "x", (HUGE,)), (
+            CountOutOfRange, r"counts must be in 1..5, got \(an int of 16610 bits,\)")),
+    "chebyshev-huge-degree": (lambda: chebyshev_u(HUGE, 0.5), (
+        DegreeTooLarge, "degree of 16610 bits exceeds the configured maximum 1000000")),
+    "u-sequence-huge-degree": (lambda: u_sequence(HUGE, 0.5), (
+        DegreeTooLarge, "degree of 16610 bits exceeds the configured maximum 1000000")),
+    "chebyshev-form-point-huge-n": (lambda: chebyshev_form_point(0.5, HUGE + 1), (
+        DegreeTooLarge, "degree of 16610 bits exceeds the configured maximum 1000000")),
 }
 
 
@@ -67,6 +97,9 @@ INTAKE = {
 def test_counts_and_choices_take_one_intake(call, expected):
     if isinstance(expected, type):
         with pytest.raises(expected):
+            call()
+    elif isinstance(expected, tuple):  # the exception type and its whole message
+        with pytest.raises(expected[0], match=f"^{expected[1]}$"):
             call()
     else:
         assert call() == expected()

@@ -26,6 +26,7 @@ from trigsum import (
     sum_auto,
     x_coordinate_identity,
 )
+from trigsum import kernels
 from trigsum.kernels import (
     _PI,
     _PI_SHIFT,
@@ -33,7 +34,6 @@ from trigsum.kernels import (
     RunningSumPlan,
     _ratio,
     _reduced,
-    _split_reduced,
 )
 
 PI = math.pi
@@ -550,11 +550,33 @@ def split_cases(rng):
     return cases + [-x for x in cases]
 
 
-def test_split_reduced_within_one_ulp_of_reduced():
+@pytest.fixture
+def split(monkeypatch):
+    """rad -> (r, sign), the angle _ratio reduces rad to and the sign it
+    applies. _ratio(rad, 2) runs with a sine that records its arguments and
+    returns 1.0: it divides sin(2 r) by sin(r), so r is the second argument
+    and the ratio it returns, sign * 1.0 / 1.0, is the sign."""
+    arguments = []
+
+    def recording_sine(x):
+        arguments.append(x)
+        return 1.0
+
+    monkeypatch.setattr(kernels, "_sin", recording_sine)
+
+    def split(rad):
+        arguments.clear()
+        sign = _ratio(rad, 2)
+        return arguments[1], sign
+
+    return split
+
+
+def test_split_reduced_within_one_ulp_of_reduced(split):
     rng = random.Random("split odd")
     checked = 0
     for rad in split_cases(rng):
-        r, sign = _split_reduced(rad)
+        r, sign = split(rad)
         exact, exact_sign = _reduced(rad, Family.ODD)
         assert sign == exact_sign, rad
         if exact.hex() == rad.hex():  # j = 0
@@ -565,7 +587,7 @@ def test_split_reduced_within_one_ulp_of_reduced():
     assert checked >= 10**5 // 3
 
 
-def test_split_reduced_is_reduced_outside_its_domain():
+def test_split_reduced_is_reduced_outside_its_domain(split):
     outside = [2.0**20 * PI * 1.001, 1e7, 1e10, 123456789012.5, 1e300, 1.7976931348623157e308,
                *HUGE]
     # |r| below 2**-20: the double nearest k * pi, and offsets under 2**-20
@@ -574,10 +596,10 @@ def test_split_reduced_is_reduced_outside_its_domain():
     for rad in outside + [-x for x in outside]:
         exact = _reduced(rad, Family.ODD)
         assert abs(exact[0]) < 2.0**-20 or abs(rad / PI) >= 2.0**20, rad
-        assert _split_reduced(rad) == exact, rad
+        assert split(rad) == exact, rad
 
 
-def test_split_reduced_may_take_the_other_integer_at_a_half_period():
+def test_split_reduced_may_take_the_other_integer_at_a_half_period(split):
     # where rad / pi lies next to a half-integer, j may be either integer
     # beside it: r then lies just past pi / 2, pi from _reduced's, and the
     # sign follows j
@@ -588,7 +610,7 @@ def test_split_reduced_may_take_the_other_integer_at_a_half_period():
             x = math.nextafter(x, -math.inf)
         for _ in range(13):
             for rad in (x, -x):
-                r, sign = _split_reduced(rad)
+                r, sign = split(rad)
                 exact, exact_sign = _reduced(rad, Family.ODD)
                 if abs(r - exact) <= math.ulp(exact):
                     assert sign == exact_sign

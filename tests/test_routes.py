@@ -17,6 +17,7 @@ from trigsum import (
     DEFAULT_THRESHOLD,
     Angle,
     Family,
+    Method,
     SingularDenominator,
     SumSpec,
     even_index_sum,
@@ -93,13 +94,25 @@ def test_sum_method_choices_are_the_full_forms_then_auto_and_naive():
     assert choices == ["lagrange", "halfangle", "auto", "naive"]
 
 
-@pytest.mark.parametrize("phi", [1.0, math.pi, 3.1, 1e-5])
+#: Generic angles, fallback-band angles next to k pi, signed zeros,
+#: subnormals and the ends of the double range.
+GUARD_ANGLES = [1.0, math.pi, 3.1, 1e-5, -2.5, 123456.789, 2 * math.pi - 1e-3,
+                math.pi - 1e-5, math.pi + 3e-5, -math.pi + 1e-6, 2 * math.pi - 2e-5,
+                2 * math.pi + 1e-5, 7 * math.pi + 5e-5, 1000 * math.pi - 9e-5, -1e-7,
+                0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("phi", GUARD_ANGLES)
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("form", FULL_FORMS)
 def test_sum_auto_proximity_is_its_route_denominator(phi, family, form):
+    # sum_auto takes the guard sine inline, not through ROUTES: the bits must agree
     route = ROUTES[form] if family is Family.FULL else ROUTES[family.value]
-    result = sum_auto(SumSpec(Angle(phi), 4, family), full_form=form)
-    assert result.singular_proximity == abs(route.denominator(phi))
+    for threshold in (DEFAULT_THRESHOLD, 1e-6, 5e-324):
+        result = sum_auto(SumSpec(Angle(phi), 4, family), threshold=threshold, full_form=form)
+        proximity = result.singular_proximity
+        assert proximity.hex() == abs(route.denominator(phi)).hex()
+        assert (result.method is Method.NAIVE_FALLBACK) == (proximity < threshold)
 
 
 def test_default_full_form_is_sum_auto_default():

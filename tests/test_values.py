@@ -21,7 +21,7 @@ import trigsum
 from trigsum.angle import Angle, Record
 from trigsum.bench import BenchResult
 from trigsum.geometry import ConstructionConfig, Line, Point2, PointSeq
-from trigsum.kernels import ROUTES, Family, Method, Route, SumSpec, SumValue
+from trigsum.kernels import ROUTES, Family, Method, Route, SumSpec, SumValue, sum_auto
 from trigsum.orbit import OrbitCurve
 
 A = Angle(0.25)
@@ -140,6 +140,43 @@ def test_pickle_and_copy_round_trip(cls, args, kwargs, text):
     for other in copies:
         assert type(other) is cls
         assert other == value and hash(other) == hash(value) and repr(other) == text
+
+
+#: SumValues as sum_auto returns them, one per route, and a fallback: the
+#: closed form's are built without calling SumValue.__init__.
+RETURNED = {
+    "lagrange": sum_auto(SumSpec(1.0, 7), full_form="lagrange"),
+    "halfangle": sum_auto(SumSpec(1.0, 7), full_form="halfangle"),
+    "even": sum_auto(SumSpec(1.0, 7, Family.EVEN)),
+    "odd": sum_auto(SumSpec(1.0, 7, Family.ODD)),
+    "fallback": sum_auto(SumSpec(3.1415, 7)),
+}
+
+
+@pytest.mark.parametrize("value", RETURNED.values(), ids=RETURNED)
+def test_values_sum_auto_returns_keep_the_record_contract(value):
+    fields = {"value": value.value, "method": value.method,
+              "singular_proximity": value.singular_proximity}
+    built = SumValue(*fields.values())
+    assert type(value) is SumValue
+    assert value == built and not value != built and hash(value) == hash(built)
+    assert hash(value) == hash(tuple(fields.values()))
+    assert repr(value) == repr(built)
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is SumValue and other == value and repr(other) == repr(value)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert read(value, fields) == fields
+    assert value.method is (Method.NAIVE_FALLBACK if value is RETURNED["fallback"]
+                            else Method.CLOSED_FORM)
 
 
 @pytest.mark.parametrize("name", sorted(ROUTES))

@@ -36,6 +36,30 @@ SUBNORMAL_ANGLES = tuple(map(repr, (2 * 5e-324, 4 * 5e-324, 1000 * 5e-324, 2**20
 #: the edge of the split reduction's domain for the full family's half angle.
 NEAR_TWO_PI_K = tuple(repr(k * 2 * math.pi + t * 2.0**-20)
                       for k in (1, 3, 1000, 2**19 + 1) for t in (1.0, 1.37, -1.73))
+
+
+def _ulp_steps(x: float, steps: int) -> list[float]:
+    """The doubles from steps ulps below x to steps ulps above it."""
+    for _ in range(steps):
+        x = math.nextafter(x, -math.inf)
+    out = []
+    for _ in range(2 * steps + 1):
+        out.append(x)
+        x = math.nextafter(x, math.inf)
+    return out
+
+
+#: Centres of the edges of the Cody-Waite split's domain (|rad / pi| < 2**20,
+#: |r| >= 2**-20) and of its half-periods, where rad / pi lies within 2**-32
+#: of a half-integer and the split may take the other integer beside it.
+SPLIT_EDGE_CENTRES = (
+    *(s * 2.0**20 * math.pi for s in (1.0, -1.0)),
+    *(k * math.pi + t * 2.0**-20 for k in (1, 1001, 2**20 - 1) for t in (1.0, -1.0)),
+    *(s * (k + 0.5) * math.pi for k in (0, 7, 2**19 + 3) for s in (1.0, -1.0)),
+)
+#: A few ulps either side of each centre.
+SPLIT_EDGE_ANGLES = tuple(repr(x) for centre in SPLIT_EDGE_CENTRES
+                          for x in _ulp_steps(centre, 3))
 #: Each family with a form that guards it, as sum_auto's keyword suffix.
 FAMILY_FORMS = (("FULL", "'halfangle'"), ("FULL", "'lagrange'"), ("EVEN", None), ("ODD", None))
 #: Unsorted, with repeats.
@@ -154,6 +178,12 @@ def calls() -> list[str]:
             for pair, grid in ACCEPTANCE_GRIDS]
     out.append(f"residual_sweep({DECOMPOSITION_SHARD}, "
                "ResidualPair('DecompositionVsHalfangle'), keep_rows=True).to_csv()")
+    # the split's edges: the least threshold keeps every angle on the closed forms
+    out += [f"sum_auto(SumSpec({phi}, {count}, Family.{family}), threshold=5e-324)"
+            for family in ("EVEN", "ODD") for phi in SPLIT_EDGE_ANGLES for count in (7, 1000)]
+    out += [f"orbit_samples({n}, {lo!r}, {hi!r}, 3).samples"
+            for centre in SPLIT_EDGE_CENTRES for lo, *_, hi in (_ulp_steps(centre, 3),)
+            for n in (2, 7, 1000)]
     return out
 
 
