@@ -113,20 +113,25 @@ def inclusive_grid(lo: float, hi: float, steps: int, name: str) -> Iterator[floa
     """Validate a uniform endpoint-inclusive grid and return its angles.
 
     The bounds must be finite, ordered, and span a finite width, and steps
-    must be at least 2; else BadRange is raised. Validation runs on the call;
-    the steps angles lo + (hi - lo) * i / (steps - 1) are then yielded in
-    increasing order, from the bounds coerced to float. name ("angle",
-    "alpha") prefixes the messages.
+    must be an int (through operator.index) of at least 2, with steps - 1 a
+    float; else BadRange is raised (TypeError for a non-int). Validation runs
+    on the call; the steps angles lo + (hi - lo) * i / (steps - 1) are then
+    yielded in increasing order, from the bounds coerced to float. name
+    ("angle", "alpha") prefixes the messages.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise BadRange(f"{name} bounds must be finite")
     if not lo < hi:
         raise BadRange(f"{name}_min must be < {name}_max, got [{lo}, {hi}]")
+    steps = _index(steps)
     if steps < 2:
-        raise BadRange(f"steps must be >= 2, got {steps}")
+        raise BadRange(f"steps must be >= 2, got {int_text(steps)}")
     lo = float(lo)
     span = float(hi) - lo
     if not math.isfinite(span):
         raise BadRange(f"{name}_max - {name}_min overflows, got [{lo}, {hi}]")
-    last = steps - 1
+    try:
+        last = float(steps - 1)  # the divisor a float / int division converts it to
+    except OverflowError:
+        raise BadRange(f"{int_text(steps, 'steps')} is too large: steps - 1 has no float") from None
     return (lo + span * i / last for i in range(steps))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import cycle, islice
-from typing import Container, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .angle import Angle, Record, _index, _isfinite, as_angle, as_count, int_text
 from .chebyshev import _check_degree, _u, chebyshev_u  # perfbench patches chebyshev_u here
@@ -191,15 +191,20 @@ def closed_form_point(alpha: Angle | float, n: int) -> Point2:
     """Trigonometric coordinates (cot a * sin(n a), sin(n a)).
 
     This is the on-line-e form: under the A_1-on-x convention it gives A_n
-    for even n. It evaluates for any n >= 1; callers enforce the parity
-    convention. Undefined where sin a vanishes.
+    for even n. It evaluates for any n >= 1 where n a is a finite float;
+    callers enforce the parity convention. Undefined where sin a vanishes
+    (SingularAngle); where n a overflows a float, CountOutOfRange names n.
     """
     n = as_count(n, "n")
     rad = as_angle(alpha).radians
     sin_a = math.sin(rad)
     if abs(sin_a) < EPSILON_EXCLUDE:
         raise SingularAngle(f"|sin(alpha)| = {abs(sin_a):.3e}: cot(alpha) undefined")
-    sin_na = math.sin(n * rad)
+    try:
+        sin_na = math.sin(n * rad)
+    except (ValueError, OverflowError):  # n * a is inf, or n has no float
+        raise CountOutOfRange(f"{int_text(n, 'n')} is too large: n times alpha overflows "
+                              f"a float at alpha = {rad!r}") from None
     return Point2(math.cos(rad) / sin_a * sin_na, sin_na)
 
 
@@ -252,25 +257,33 @@ def projection_sums(cfg: ConstructionConfig, target: Line | str,
     counts = tuple(map(_index, counts))
     if any(count < 1 or count > cfg.n for count in counts):
         raise CountOutOfRange(f"counts must be in 1..{cfg.n}, got {int_text(counts)}")
-    totals = _projection_totals(cfg.alpha.radians, cfg.n, cfg.start_line, Line(target), set(counts))
+    totals = _projection_totals(cfg.alpha.radians, cfg.n, cfg.start_line, Line(target),
+                                sorted(set(counts)))
     return [totals[count] for count in counts]
 
 
 def _projection_totals(rad: float, n: int, start_line: Line, target: Line,
-                       wanted: Container[int]) -> dict[int, float]:
+                       wanted: Iterable[int]) -> dict[int, float]:
     """The core of projection_sums, on checked arguments: the running total of
-    the segment projections onto target at each wanted index of one walk to n."""
+    the segment projections onto target at each wanted index of one walk to n.
+
+    wanted holds distinct indices in 1..n in increasing order. The walk goes
+    one segment run per wanted index, up to it, and stops at the last one;
+    each segment's projection is added in index order, as projection_sum does.
+    """
     cos_a, sin_a = _cos_sin(rad)
     tx, ty = _direction(target, cos_a, sin_a)
     totals: dict[int, float] = {}
     total = 0.0
     points = _walk(cos_a, sin_a, n, start_line)
     px, py, _ = next(points)
-    for index, (x, y, _) in enumerate(points, 1):
-        total += (x - px) * tx + (y - py) * ty
-        if index in wanted:
-            totals[index] = total
-        px, py = x, y
+    done = 0
+    for index in wanted:
+        for x, y, _ in islice(points, index - done):
+            total += (x - px) * tx + (y - py) * ty
+            px, py = x, y
+        totals[index] = total
+        done = index
     return totals
 
 

@@ -236,16 +236,18 @@ class RunningSumPlan:
     """naive_trig_sum of one family at fixed counts, prepared for any angle.
 
     Built once from (family, counts): the distinct counts in increasing
-    order, one step per gap between consecutive ones, and the read-off
+    order, one item per gap between consecutive ones, and the read-off
     position of each requested count. Calling the plan with an angle in
     radians makes one ordered pass up to max(counts) and reads the running
     total off at each count, so every value has the exact bits of
     naive_trig_sum there. counts may be unsorted and repeat; the result
-    follows their order. A one-term gap is added inline with its multiplier
-    stored as a float, when that is the exact integer (below 2**53); every
-    other gap goes to _add_terms. The plan holds O(len(counts)) values, never
-    one per term, so huge counts cost nothing until a pass runs. The family
-    goes through Family(family), the counts through as_counts.
+    follows their order. A one-term gap is its multiplier as a float, when
+    that is the exact integer (below 2**53), and consecutive one-term gaps
+    form one step, a list of those floats added in one comprehension: the
+    same additions in the same order. Every other gap is a range that goes
+    to _add_terms. The plan holds O(len(counts)) values, never one per term,
+    so huge counts cost nothing until a pass runs. The family goes through
+    Family(family), the counts through as_counts.
     """
 
     __slots__ = ("_steps", "_index")
@@ -255,24 +257,29 @@ class RunningSumPlan:
         distinct = sorted(set(counts))
         position = {count: i for i, count in enumerate(distinct)}
         self._index = [position[count] for count in counts]
-        self._steps: list[float | range] = []
+        self._steps: list[list[float] | range] = []
         done = 0
         for count in distinct:
             multiples = _multiples(family, done, count)
-            inline = count - done == 1 and multiples.start < 2**53
-            self._steps.append(float(multiples.start) if inline else multiples)
+            if count - done == 1 and multiples.start < 2**53:
+                if self._steps and self._steps[-1].__class__ is list:
+                    self._steps[-1].append(float(multiples.start))
+                else:
+                    self._steps.append([float(multiples.start)])
+            else:
+                self._steps.append(multiples)
             done = count
 
     def __call__(self, rad: float) -> list[float]:
         cos = math.cos
         total = 0.0
-        totals = []
+        totals: list[float] = []
         for step in self._steps:
-            if step.__class__ is float:
-                total += cos(step * rad)
+            if step.__class__ is list:
+                totals += [total := total + cos(mult * rad) for mult in step]
             else:
                 total = _add_terms(total, rad, step)
-            totals.append(total)
+                totals.append(total)
         return list(map(totals.__getitem__, self._index))
 
 
@@ -308,14 +315,15 @@ class Route(Record):
 
     family is None for the terminal abscissa, which is no family sum; label
     names the denominator in SingularDenominator messages; evaluate maps
-    (radians, checked denominator, count) to the value.
+    (radians, checked denominator, count sequence) to the value at each
+    count, in their order.
     """
 
     __slots__ = ("name", "family", "label", "denominator", "evaluate")
 
     def __init__(self, name: str, family: Family | None, label: str,
                  denominator: Callable[[float], float],
-                 evaluate: Callable[[float, float, int], float]) -> None:
+                 evaluate: Callable[[float, float, Sequence[int]], list[float]]) -> None:
         self._set(name, family, label, denominator, evaluate)
 
     def checked(self, rad: float, threshold: float) -> float:
@@ -327,25 +335,29 @@ class Route(Record):
         SingularDenominator where the denominator is below threshold or zero."""
         count = as_count(count, "m" if self.family is Family.FULL else "k")
         rad = as_angle(angle).radians
-        return self.evaluate(rad, self.checked(rad, threshold), count)
+        return self.evaluate(rad, self.checked(rad, threshold), (count,))[0]
 
 
 #: Every closed form by name. The even and odd routes are named after their
-#: family; the full family has one route per form.
+#: family; the full family has one route per form. Each evaluate takes an
+#: angle in radians, its checked denominator and a count sequence, and returns
+#: the closed form at each count from one comprehension; a count no float can
+#: hold raises OverflowError where its multiplier meets the angle.
 ROUTES: dict[str, Route] = {
     route.name: route
     for route in (
         Route("lagrange", Family.FULL, "sin(phi/2)", lambda rad: math.sin(0.5 * rad),
-              lambda rad, den, m: 0.5 * (math.sin((m + 0.5) * rad) / den - 1.0)),
+              lambda rad, den, ms: [0.5 * (math.sin((m + 0.5) * rad) / den - 1.0) for m in ms]),
         Route("halfangle", Family.FULL, "sin(phi)", math.sin,
-              lambda rad, den, m: 0.5 * ((math.sin((m + 1) * rad) + math.sin(m * rad)) / den
-                                         - 1.0)),
+              lambda rad, den, ms: [0.5 * ((math.sin((m + 1) * rad) + math.sin(m * rad)) / den
+                                           - 1.0) for m in ms]),
         Route("even", Family.EVEN, "sin(alpha)", math.sin,
-              lambda rad, den, k: 0.5 * (math.sin((2 * k + 1) * rad) / den - 1.0)),
+              lambda rad, den, ks: [0.5 * (math.sin((2 * k + 1) * rad) / den - 1.0) for k in ks]),
         Route("odd", Family.ODD, "sin(alpha)", math.sin,
-              lambda rad, den, k: 0.5 * math.sin(2 * k * rad) / den),
+              lambda rad, den, ks: [0.5 * math.sin(2 * k * rad) / den for k in ks]),
         Route("x_terminal", None, "sin(alpha)", math.sin,
-              lambda rad, den, k: math.cos(rad) * math.sin((2 * k + 2) * rad) / den),
+              lambda rad, den, ks: [math.cos(rad) * math.sin((2 * k + 2) * rad) / den
+                                    for k in ks]),
     )
 }
 
@@ -416,7 +428,7 @@ def x_coordinate_identity(
     # twice the naive even sum from 0.5: doubling is exact, so these are the literal loop's bits
     lhs = 2.0 * _add_terms(0.5, rad, _multiples(Family.EVEN, 0, k)) + math.cos((2 * k + 2) * rad)
     terminal = ROUTES["x_terminal"]
-    return lhs, terminal.evaluate(rad, terminal.checked(rad, threshold), k)
+    return lhs, terminal.evaluate(rad, terminal.checked(rad, threshold), (k,))[0]
 
 
 def sum_auto(

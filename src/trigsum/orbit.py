@@ -44,15 +44,14 @@ def orbit_samples(
 ) -> OrbitCurve:
     """Sample the orbit of A_n uniformly, inclusive of both endpoints."""
     n = as_count(n, "n")
-    grid = inclusive_grid(alpha_min, alpha_max, steps, "alpha")  # BadRange before the try
     samples = []
-    try:
-        for alpha in grid:
+    for alpha in inclusive_grid(alpha_min, alpha_max, steps, "alpha"):
+        try:
             u = _ratio(alpha, n)
-            samples.append((alpha, math.cos(alpha) * u, math.sin(alpha) * u))
-    except (ValueError, OverflowError):  # n * r is inf (n > 1.1e308), or float(n) fails
-        raise CountOutOfRange(f"{int_text(n, 'n')} is too large: n times alpha reduced modulo "
-                              f"pi overflows a float at alpha = {alpha!r}") from None
+        except (ValueError, OverflowError):  # n * r is inf (n > 1.1e308), or float(n) fails
+            raise CountOutOfRange(f"{int_text(n, 'n')} is too large: n times alpha reduced "
+                                  f"modulo pi overflows a float at alpha = {alpha!r}") from None
+        samples.append((alpha, math.cos(alpha) * u, math.sin(alpha) * u))
     # float bounds render like the samples: 1e+17, not 100000000000000000
     return OrbitCurve(n, float(alpha_min), float(alpha_max), steps, tuple(samples))
 

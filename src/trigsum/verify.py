@@ -12,6 +12,7 @@ byte-identical CSV and JSON.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -114,9 +115,8 @@ def _route_pair(first: str, second: str) -> _Prepare:
             dens = [route.checked(rad, guard) for route in routes]
             # the closed side first, so a count no float can hold raises
             # before the O(max(counts)) oracle pass
-            closed = [evaluate(rad, dens[0], c) for c in counts]
-            other = (plan(rad) if plan is not None
-                     else [routes[1].evaluate(rad, dens[1], c) for c in counts])
+            closed = evaluate(rad, dens[0], counts)
+            other = plan(rad) if plan is not None else routes[1].evaluate(rad, dens[1], counts)
             return [a - b for a, b in zip(closed, other)]
 
         return rule
@@ -133,12 +133,12 @@ def _projection_vs_closed_form(counts: Sequence[int]) -> _Rule:
     # side runs first, so a count no float can hold raises before the walk.
     terminal = kernels.ROUTES["x_terminal"]
     ns = [2 * k + 2 for k in counts]
-    n_max, wanted = max(ns), set(ns)
+    n_max, wanted = max(ns), sorted(set(ns))
 
     def rule(rad: float, guard: float) -> list[float]:
         den = terminal.checked(rad, guard)
         kernels._guard(math.cos(rad), guard, "cos(alpha)")
-        rhs = [terminal.evaluate(rad, den, k) for k in counts]
+        rhs = terminal.evaluate(rad, den, counts)
         totals = geometry._projection_totals(rad, n_max, geometry.Line.X, geometry.Line.X, wanted)
         return [totals[n] - r for n, r in zip(ns, rhs)]
 
@@ -146,7 +146,16 @@ def _projection_vs_closed_form(counts: Sequence[int]) -> _Rule:
 
 
 def _decomposition_vs_halfangle(counts: Sequence[int]) -> _Rule:
-    # even + odd at count k against the full whole-angle form at 2k
+    """even + odd at count k against the full whole-angle form at 2k.
+
+    All three routes divide by d = sin(alpha). Where d is a normal double the
+    rule divides by h = 2d instead of halving each quotient, which keeps every
+    bit: doubling d is exact, (0.5 s2) / d and s2 / h round the same real
+    quotient, and fl(s1 / h) = fl(s1 / d) / 2 and fl(q / 2 - 0.5) =
+    fl(q - 1) / 2, because scaling by a power of two commutes with rounding.
+    That holds until a result overflows or underflows, and neither can while
+    d is normal: |s| <= 1, and s2 is normal whenever d is.
+    """
     routes = [kernels.ROUTES[name] for name in ("even", "odd", "halfangle")]
     # The sine multipliers 2k+1 and 2k, as floats where that is the exact
     # integer (below 2**53). Either way the product has the bits of the
@@ -156,9 +165,21 @@ def _decomposition_vs_halfangle(counts: Sequence[int]) -> _Rule:
         for mults in ([2 * k + 1 for k in counts], [2 * k for k in counts])
     )
     sin = math.sin
+    normal_min = sys.float_info.min
 
     def rule(rad: float, guard: float) -> list[float]:
         d_even, d_odd, d_whole = [route.checked(rad, guard) for route in routes]
+        # A subnormal d (reachable only with a guard below 2**-1022) keeps the
+        # routes' own expressions: there (s1 + s2) / d can overflow where
+        # (s1 + s2) / 2d does not, so the forms differ (at a = 5e-324 or
+        # 1e-310, guard 0, counts from 1e300 to 8e307: -inf against 0.0).
+        if abs(d_whole) >= normal_min:
+            h = 2.0 * d_whole
+            return [
+                (((s1 := sin(o * rad)) / h - 0.5) + (s2 := sin(e * rad)) / h)
+                - ((s1 + s2) / h - 0.5)
+                for o, e in zip(odd_mults, even_mults)
+            ]
         # ROUTES' even, odd and halfangle (m = 2k) bodies in their operation
         # order; (m + 1)*rad at m = 2k is the even body's (2k + 1)*rad
         return [
@@ -189,24 +210,27 @@ def residual_sweep(
 
     The pair is prepared once per sweep for the grid's counts, so every
     per-count constant is computed once: the running-sum plan of the
-    ...VsNaive pairs (kernels.RunningSumPlan: the distinct counts, one step
-    per gap, the read-off position of each count), the construction's
-    lengths n = 2k + 2 and the sine multipliers 2k+1 and 2k of
-    DecompositionVsHalfangle. Each angle then costs the pair's denominators
-    and their guard once, one ordered naive pass up to max(counts) for the
-    oracle pairs, one construction walk up to n = 2 max(counts) + 2 for the
-    projection pair (on geometry's private core: no Angle, ConstructionConfig
-    or count check per angle), and two sines per count, sin((2k+1) a) and
-    sin(2k a), shared by DecompositionVsHalfangle's three closed forms. Plan
-    memory is O(len(counts)), and so is memory per angle. An angle's closed
-    forms and residuals run in list comprehensions: on CPython 3.11 their
-    specialized bytecode beats map() chains over operator and math
-    functions (a criterion-4 shard, 80 angles x 512 counts, takes about a
-    fifth less time on CPython 3.11.7). The statistics accumulate point by point in
-    grid order: abs_sum by += left to right, never sum() (which compensates
-    from Python 3.12 on) or math.fsum, and the argmax is the first point
-    that strictly exceeds the running maximum, looked up only at an angle
-    that raises it. So every report is byte for byte the one a per-point
+    ...VsNaive pairs (kernels.RunningSumPlan: the distinct counts, runs of
+    one-term gaps as float multipliers, a range per other gap, the read-off
+    position of each count), the construction's sorted lengths n = 2k + 2
+    and the sine multipliers 2k+1 and 2k of DecompositionVsHalfangle. Each
+    angle then costs the pair's denominators and their guard once, one call
+    per route body over all the counts (Route.evaluate takes the count
+    sequence), one ordered naive pass up to max(counts) for the oracle
+    pairs, one construction walk up to n = 2 max(counts) + 2 for the
+    projection pair, a segment run per wanted n (on geometry's private core:
+    no Angle, ConstructionConfig or count check per angle), and two sines
+    per count, sin((2k+1) a) and sin(2k a), shared by
+    DecompositionVsHalfangle's three closed forms, which divide by 2 sin(a)
+    instead of halving wherever sin(a) is a normal double: an exact
+    rewrite, with the same bits (see the rule). Plan memory is
+    O(len(counts)), and so is memory per angle. An angle's closed forms and
+    residuals run in list comprehensions, which on CPython 3.11 run as
+    specialized bytecode. The statistics accumulate point by point in grid
+    order: abs_sum by += left to right, never sum() (which compensates from
+    Python 3.12 on) or math.fsum, and the argmax is the first point that
+    strictly exceeds the running maximum, looked up only at an angle that
+    raises it. So every report is byte for byte the one a per-point
     evaluation of the same pair gives.
 
     Per-point rows are kept, in canonical order (angle-major, count-minor),

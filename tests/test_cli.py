@@ -214,6 +214,19 @@ def test_orbit_count_that_overflows_exits_1_naming_it(capsys, n, alpha_min, alph
     assert err.endswith(f" at alpha = {alpha}\n")
 
 
+def test_orbit_step_count_without_a_float_exits_1_without_a_traceback():
+    # the grid's divisor steps - 1 has no float: a domain error, not a traceback
+    steps = "9" * 400
+    proc = subprocess.run(
+        [sys.executable, "-m", "trigsum.cli", "orbit", "--n", "1", "--steps", steps,
+         "--format", "csv"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: steps = {steps} is too large: steps - 1 has no float\n"
+
+
 def test_orbit_count_of_ten_to_the_308_at_a_small_angle(capsys):
     code, out = run_capture(capsys, ["orbit", "--n", "1" + "0" * 308, "--alpha-min", "0.1",
                                      "--alpha-max", "0.2", "--steps", "3", "--format", "csv"])
@@ -248,7 +261,11 @@ def test_out_file_overwrites_existing(tmp_path):
 
 
 def test_bench_output(capsys):
-    code, out = run_capture(capsys, ["bench", "--m", "1000", "--repeats", "30"])
+    # At m = 10**5 a closed-form evaluation is thousands of times cheaper than
+    # the literal sum, so one preemption of the 27 timed closed-form calls (up
+    # to ~25 ms) still leaves the speedup above 10; at m = 1000 one of ~1 ms
+    # took it below.
+    code, out = run_capture(capsys, ["bench", "--m", "100000", "--repeats", "30"])
     assert code == 0
     payload = json.loads(out)
     assert list(payload) == ["naive_ns_per_eval", "closed_ns_per_eval", "speedup"]

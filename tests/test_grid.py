@@ -45,6 +45,11 @@ def test_gridspec_keeps_its_exception_types():
         GridSpec(math.nan, 1.0, 10, (1,))
     with pytest.raises(BadRange):
         GridSpec(2.0, 1.0, 10, (1,))
+    # past the interpreter's 4300-digit limit on int to str: named by its bits
+    with pytest.raises(BadRange, match="^steps must be >= 2, got a negative int of 16610 bits$"):
+        GridSpec(0.1, 3.0, -10**5000, (1,))
+    with pytest.raises(BadRange, match="^steps of 16610 bits is too large: steps - 1 has no"):
+        GridSpec(0.1, 3.0, 10**5000, (1,))
 
 
 def test_orbit_keeps_its_exception_types():
@@ -52,6 +57,11 @@ def test_orbit_keeps_its_exception_types():
         orbit_samples(2, 0.0, math.inf, 4)
     with pytest.raises(BadRange):
         orbit_samples(2, 2.0, 1.0, 4)
+    with pytest.raises(BadRange, match="^steps must be >= 2, got a negative int of 16610 bits$"):
+        orbit_samples(3, 0.0, 1.0, -10**5000)
+    # the grid's first angle would divide by steps - 1, which no float holds
+    with pytest.raises(BadRange, match=f"^steps = {10**400} is too large: steps - 1 has no float$"):
+        orbit_samples(1, 0.0, 1.0, 10**400)
 
 
 def test_gridspec_rejects_an_overflowing_span():

@@ -90,6 +90,13 @@ INTAKE = {
         DegreeTooLarge, "degree of 16610 bits exceeds the configured maximum 1000000")),
     "chebyshev-form-point-huge-n": (lambda: chebyshev_form_point(0.5, HUGE + 1), (
         DegreeTooLarge, "degree of 16610 bits exceeds the configured maximum 1000000")),
+    # n no float holds, and n * alpha past the largest float
+    "closed-form-point-huge-n": (lambda: closed_form_point(0.5, HUGE), (
+        CountOutOfRange,
+        "n of 16610 bits is too large: n times alpha overflows a float at alpha = 0.5")),
+    "closed-form-point-overflowing-product": (lambda: closed_form_point(3.0, 10**308), (
+        CountOutOfRange,
+        f"n = {10**308} is too large: n times alpha overflows a float at alpha = 3.0")),
 }
 
 

@@ -103,8 +103,9 @@ def test_naive_running_sums_validation():
         naive_running_sums(math.nan, Family.FULL, (1,))
 
 
-#: Gaps between consecutive distinct counts: one term (added inline by the
-#: plan), shorter than a run of eight, and at least one run.
+#: Gaps between consecutive distinct counts: one term (consecutive ones make
+#: one run of float multipliers in the plan), shorter than a run of eight, and
+#: at least one run of eight.
 GAP_KINDS = (st.just(1), st.integers(2, 7), st.integers(8, 300))
 
 
@@ -129,11 +130,28 @@ def test_running_sum_plan_matches_naive_bit_for_bit(family, phi, other, counts):
         ]
 
 
+def plan_items(plan):
+    """The plan's stored items: each float of a one-term run, and each range."""
+    return [item for step in plan._steps
+            for item in (step if step.__class__ is list else (step,))]
+
+
 def test_running_sum_plan_holds_one_step_per_distinct_count():
     # no multiplier table: a count no loop could reach costs one range
     counts = (10**400 + 1, 3, 10**400, 4, 3)
     plan = RunningSumPlan(Family.ODD, counts)
-    assert len(plan._steps) == len(set(counts))
+    assert len(plan_items(plan)) == len(set(counts))
+    # Consecutive counts: the one-term gaps between them become one run of
+    # float multipliers, until the multiplier reaches 2**53.
+    counts = (1, 2, 3, 9, 10, 11, 11, 40, 2**53 - 2, 2**53 - 1, 2**53, 2**53 + 1)
+    plan = RunningSumPlan(Family.FULL, counts)
+    items = plan_items(plan)
+    assert len(items) == len(set(counts))
+    assert [type(step) for step in plan._steps] == [list, range, list, range, range, list,
+                                                    range, range]
+    assert items[:3] == [1.0, 2.0, 3.0] and items[4:6] == [10.0, 11.0]
+    assert items[8] == 2.0**53 - 1
+    assert items[9:] == [range(2**53, 2**53 + 1), range(2**53 + 1, 2**53 + 2)]
 
 
 def test_family_index_ranges():

@@ -115,6 +115,12 @@ def test_range_validation():
         orbit_samples(2, 0.0, 1.0, 1)
     with pytest.raises(BadRange):
         orbit_samples(2, 0.0, math.inf, 4)
+    # a step count past the interpreter's 4300-digit limit, and one whose
+    # steps - 1 no float holds
+    with pytest.raises(BadRange, match="negative int of 16610 bits"):
+        orbit_samples(3, 0.0, 1.0, -10**5000)
+    with pytest.raises(BadRange, match="steps - 1 has no float"):
+        orbit_samples(1, 0.0, 1.0, 10**400)
     with pytest.raises(ValueError):
         orbit_samples(0, 0.0, 1.0, 4)
     # no degree cap: the ratio costs the same at any n

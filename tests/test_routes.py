@@ -189,3 +189,39 @@ def test_sum_auto_pinned(phi, m, family, form, value, method, proximity):
     assert (result.value, result.method.value, result.singular_proximity) == (
         value, method, proximity
     )
+
+
+#: Each route's closed form at one count, as the parent's scalar bodies wrote it.
+SCALAR_BODIES = {
+    "lagrange": lambda rad, den, m: 0.5 * (math.sin((m + 0.5) * rad) / den - 1.0),
+    "halfangle": lambda rad, den, m: 0.5 * ((math.sin((m + 1) * rad) + math.sin(m * rad)) / den
+                                            - 1.0),
+    "even": lambda rad, den, k: 0.5 * (math.sin((2 * k + 1) * rad) / den - 1.0),
+    "odd": lambda rad, den, k: 0.5 * math.sin(2 * k * rad) / den,
+    "x_terminal": lambda rad, den, k: math.cos(rad) * math.sin((2 * k + 2) * rad) / den,
+}
+#: Unsorted and repeated, from one term to past 2**53, where the multipliers round.
+ROUTE_COUNTS = (1, 7, 2, 7, 1000, 2**52 - 1, 2**52 + 1, 2**53 - 1, 2**53, 2**53 + 1,
+                3 * 2**53 + 5, 10**17 + 3, 10**300)
+
+
+@pytest.mark.parametrize("name", list(ROUTES))
+@pytest.mark.parametrize("rad", [1.0, -2.5, 0.3, 123456.789, 1e-300, 1e-323])
+def test_route_over_a_count_list_is_each_count_alone(name, rad):
+    route = ROUTES[name]
+    den = route.checked(rad, 0.0)
+    batch = route.evaluate(rad, den, ROUTE_COUNTS)
+    assert [x.hex() for x in batch] == [
+        route.evaluate(rad, den, (count,))[0].hex() for count in ROUTE_COUNTS]
+    assert [x.hex() for x in batch] == [
+        SCALAR_BODIES[name](rad, den, count).hex() for count in ROUTE_COUNTS]
+
+
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_route_count_without_a_float_raises_as_one_count_does(name):
+    # 10**308 doubled (plus one or two) is past the largest double
+    route = ROUTES[name]
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        route.evaluate(1.0, route.checked(1.0, 0.0), (3, 2 * 10**308, 5))
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        SCALAR_BODIES[name](1.0, route.checked(1.0, 0.0), 2 * 10**308)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -28,6 +29,7 @@ from trigsum import (
     residual_sweep,
     x_coordinate_identity,
 )
+from trigsum import kernels
 from trigsum.angle import inclusive_grid
 
 TWO_PI = 2.0 * math.pi
@@ -385,3 +387,37 @@ def test_sweep_evaluates_each_side_once(monkeypatch, pair, sines_per_point, sine
     assert report == expected
     assert calls["sin"] == (sines_per_point * len(grid.counts) + sines_per_angle) * grid.steps
     assert calls["cos"] == (max(grid.counts) * grid.steps if oracle else 0)
+
+
+def decomposition_by_routes(rad, counts):
+    """DecompositionVsHalfangle at each count from ROUTES' even, odd and
+    halfangle (m = 2k) bodies, all dividing by sin(rad)."""
+    even, odd, whole = (kernels.ROUTES[name] for name in ("even", "odd", "halfangle"))
+    d = whole.checked(rad, 0.0)
+    return [(e + o) - w for e, o, w in zip(even.evaluate(rad, d, counts),
+                                           odd.evaluate(rad, d, counts),
+                                           whole.evaluate(rad, d, [2 * k for k in counts]))]
+
+
+#: Counts from one term to where 2k sin(a) nears the largest double; the
+#: first seven keep (2k + 1) a finite up to |a| = 1e5.
+DECOMPOSITION_COUNTS = (1, 2, 7, 512, 2**52 + 1, 10**17 + 3, 10**300, 10**307, 8 * 10**307)
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(0.05, 1.0, 41, DECOMPOSITION_COUNTS[:-1]),
+    GridSpec(-1e5, 1e5, 40, DECOMPOSITION_COUNTS[:7], guard=0.0),
+    # from the least normal double: sin(a) = a is normal throughout
+    GridSpec(sys.float_info.min, 1e-300, 7, DECOMPOSITION_COUNTS, guard=0.0),
+    # subnormal sines, guard 0: the routes' own halvings, which reach -inf
+    GridSpec(5e-324, 2.2e-308, 7, DECOMPOSITION_COUNTS, guard=0.0),
+], ids=["normal", "normal-wide", "normal-least", "subnormal"])
+def test_decomposition_rule_is_its_route_bodies_bit_for_bit(grid):
+    report = residual_sweep(grid, ResidualPair.DECOMPOSITION_VS_HALFANGLE, keep_rows=True)
+    assert report.skipped == 0
+    angles = list(inclusive_grid(grid.angle_min, grid.angle_max, grid.steps, "angle"))
+    expected = [value for rad in angles for value in decomposition_by_routes(rad, grid.counts)]
+    assert [residual.hex() for _, _, residual in report.rows] == [x.hex() for x in expected]
+    # with a halved denominator the same subnormal rows would read 0.0, not -inf
+    subnormal = abs(math.sin(grid.angle_max)) < sys.float_info.min
+    assert (-math.inf in expected) == subnormal

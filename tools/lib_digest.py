@@ -93,6 +93,17 @@ ACCEPTANCE_GRIDS = (
 #: The benchmark's first shard of criterion 4's grid: its angles 0, 25, ..., 1975.
 DECOMPOSITION_SHARD = (f"GridSpec(0.05, {0.05 + 79 * 25 * ACCEPTANCE_STEP!r}, 80, "
                        "tuple(range(1, 513)))")
+#: Counts from 10**300 up: at a subnormal angle (sin((2k+1) a) + sin(2k a)) / sin(a)
+#: overflows near k = 8e307, and the multiplier 2k + 1 of 10**308 has no float.
+SUBNORMAL_SWEEP_COUNTS = ("(10**300, 3 * 10**306, 8 * 10**307)", "(10**300, 10**308)")
+#: Runs of consecutive counts between gaps of one to a few hundred terms,
+#: unsorted and repeated.
+RUN_COUNTS = ("(1, 2, 3, 4, 9, 10, 11, 12, 13, 200, 201, 202, 5)",
+              "(40, 7, 8, 41, 42, 6, 300, 8, 1, 43, 2, 299)")
+#: Odd-family one-term gaps whose multipliers 2k - 1 straddle 2**53, and a huge gap.
+PLAN_EDGE_COUNTS = "(2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2, 10**400)"
+#: Unsorted, repeated and all below n, so the walk stops short of n.
+PROJECTION_COUNTS = ("(7, 3, 7, 1, 20, 3)", "(39, 2, 38, 2)")
 
 
 def calls() -> list[str]:
@@ -184,6 +195,19 @@ def calls() -> list[str]:
     out += [f"orbit_samples({n}, {lo!r}, {hi!r}, 3).samples"
             for centre in SPLIT_EDGE_CENTRES for lo, *_, hi in (_ulp_steps(centre, 3),)
             for n in (2, 7, 1000)]
+    # the decomposition pair where sin(a) is subnormal (its guard must be below 2**-1022)
+    out += [f"residual_sweep(GridSpec({lo!r}, {hi!r}, 3, {counts}, guard={guard!r}), "
+            f"ResidualPair('DecompositionVsHalfangle'), keep_rows=True).to_csv()"
+            for lo, hi in ((5e-324, 1e-310), (1e-320, 2.2e-308))
+            for guard in (0.0, 5e-324) for counts in SUBNORMAL_SWEEP_COUNTS]
+    out += [f"naive_running_sums({phi}, Family.{family}, {counts})"
+            for family in ("FULL", "EVEN", "ODD") for phi in ("0.3", "-2.5", "123456.789")
+            for counts in RUN_COUNTS]
+    # a plan's counts cost nothing until a pass runs, which the NaN angle stops
+    out.append(f"naive_running_sums(float('nan'), Family.ODD, {PLAN_EDGE_COUNTS})")
+    out += [f"projection_sums(ConstructionConfig({alpha}, 40), Line.{line}, {counts})"
+            for alpha in CONSTRUCTION_ANGLES for line in ("X", "E")
+            for counts in PROJECTION_COUNTS]
     return out
 
 
