@@ -94,8 +94,8 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--angle-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--counts", type=_counts, required=True, help="comma-separated term counts")
-    p.add_argument("--guard", type=float, default=GridSpec.guard,
-                   help=f"minimum denominator magnitude (default {GridSpec.guard:g})")
+    p.add_argument("--guard", type=float, default=DEFAULT_GUARD,
+                   help=f"minimum denominator magnitude (default {DEFAULT_GUARD:g})")
     p.add_argument("--rows", action="store_true",
                    help="emit per-point CSV rows instead of the JSON summary")
 
@@ -178,7 +178,7 @@ _SUBCOMMANDS = {
                          "naive_trig_sum", "sum_auto")},
             _sum_arguments, _run_sum),
     "verify": ("sweep a residual pair over an angle grid",
-               {"verify": ("GridSpec", "ResidualPair", "residual_sweep")},
+               {"verify": ("DEFAULT_GUARD", "GridSpec", "ResidualPair", "residual_sweep")},
                _verify_arguments, _run_verify),
     "orbit": ("sample the orbit curve of a construction point",
               {"orbit": ("TWO_PI", "EmitFormat", "emit", "orbit_samples")},

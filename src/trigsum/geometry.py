@@ -17,7 +17,7 @@ from itertools import cycle, islice
 from typing import Iterable, Iterator, Sequence
 
 from .angle import Angle, Record, _index, _isfinite, as_angle, as_count, int_text
-from .chebyshev import _check_degree, _u, chebyshev_u  # perfbench patches chebyshev_u here
+from .chebyshev import chebyshev_u
 from .errors import CountOutOfRange, ExcludedAngle, SingularAngle
 from .formatting import csv_text, json_line
 
@@ -217,7 +217,7 @@ def chebyshev_form_point(alpha: Angle | float, n: int) -> Point2:
     n = as_count(n, "n")
     rad = as_angle(alpha).radians
     cos_a = math.cos(rad)
-    u = _u(_check_degree(n - 1), cos_a)
+    u = chebyshev_u(n - 1, cos_a)
     return Point2(cos_a * u, math.sin(rad) * u)
 
 

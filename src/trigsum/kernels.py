@@ -442,8 +442,8 @@ def sum_auto(
     full_form selects the denominator that guards the full family (one of
     FULL_FORMS); the even/odd families have one form each. When that
     denominator's magnitude, taken at the given angle, is below threshold,
-    the result has method=NaiveFallback: the literal sum of the same terms
-    at the angle reduced exactly by the family's period (2 pi for the full
+    the result has method=NaiveFallback: naive_trig_sum, the literal sum, at
+    the angle reduced exactly by the family's period (2 pi for the full
     family, pi for the even and odd ones, whose sign (-1)**j it applies), so
     within m * (top * |reduced| + m) * 2**-52 of the true sum, top being the
     largest multiple, for every finite angle. Otherwise the result has
@@ -465,7 +465,7 @@ def sum_auto(
     count = spec.count
     if proximity < threshold:
         r, sign = _reduced(rad, family)
-        total = _add_terms(0.0, r, _multiples(family, 0, count))
+        total = naive_trig_sum(SumSpec(r, count, family))
         return SumValue(sign * total, _NAIVE_FALLBACK, proximity)
     if family is _ODD:
         value = 0.5 * _ratio(rad, 2 * count)

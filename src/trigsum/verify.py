@@ -15,12 +15,14 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import kernels
-from .angle import as_counts, inclusive_grid
+from .angle import Record, as_counts, inclusive_grid
 from .errors import EmptyGrid, TrigsumError
 from .formatting import csv_text, json_line
+
+DEFAULT_GUARD = 0.01
 
 
 class ResidualPair(Enum):
@@ -35,27 +37,25 @@ class ResidualPair(Enum):
     DECOMPOSITION_VS_HALFANGLE = "DecompositionVsHalfangle"
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """A uniform inclusive angle grid crossed with a list of term counts.
 
     guard is the minimum denominator magnitude a grid angle must clear for
-    the pair under sweep; angles below it are skipped and counted.
+    the pair under sweep; angles below it are skipped and counted. Its
+    default is the module constant DEFAULT_GUARD; GridSpec.guard is a slot.
     """
 
-    angle_min: float
-    angle_max: float
-    steps: int
-    counts: tuple[int, ...]
-    guard: float = 0.01
+    __slots__ = ("angle_min", "angle_max", "steps", "counts", "guard")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", as_counts(self.counts))
-        inclusive_grid(self.angle_min, self.angle_max, self.steps, "angle")
-        if not self.counts:
+    def __init__(self, angle_min: float, angle_max: float, steps: int,
+                 counts: Iterable[int], guard: float = DEFAULT_GUARD) -> None:
+        counts = as_counts(counts)
+        inclusive_grid(angle_min, angle_max, steps, "angle")
+        if not counts:
             raise ValueError("counts must be non-empty")
-        if not (math.isfinite(self.guard) and self.guard >= 0.0):
-            raise ValueError(f"guard must be finite and >= 0, got {self.guard}")
+        if not (math.isfinite(guard) and guard >= 0.0):
+            raise ValueError(f"guard must be finite and >= 0, got {guard}")
+        self._set(angle_min, angle_max, steps, counts, guard)
 
 
 @dataclass(frozen=True)

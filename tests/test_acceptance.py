@@ -4,7 +4,8 @@ Each test prints a single verdict line (kept visible through output capture)
 and asserts the same condition, so a FAIL line is always accompanied by a
 failing test. Criterion 10 holds sum_auto against mpmath at every angle
 size; criterion 8 times a million-term naive sum over a thousand
-repeats through the CLI and dominates the suite's runtime.
+repeats through the CLI, in a child that conftest.py starts when collection
+ends, and it runs last.
 """
 
 import json
@@ -220,14 +221,10 @@ def test_07_dispatcher_totality(capsys):
     assert ok, line
 
 
-def test_08_closed_form_speedup(capsys):
-    # 1112 repeats leave 1001 timed evaluations after the 10% warmup
-    proc = subprocess.run(
-        [sys.executable, "-m", "trigsum.cli", "bench",
-         "--m", "1000000", "--repeats", "1112"],
-        capture_output=True,
-        text=True,
-    )
+def test_08_closed_form_speedup(capsys, criterion_8_run):
+    # `python -m trigsum.cli bench --m 1000000 --repeats 1112`, which conftest.py
+    # starts when collection ends and runs beside the other tests
+    proc = criterion_8_run
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     speedup = payload["speedup"]

@@ -17,6 +17,7 @@ from trigsum import (
     Line,
     SingularAngle,
     chebyshev_form_point,
+    chebyshev_u,
     closed_form_point,
     construct_points,
     line_for_index,
@@ -24,6 +25,8 @@ from trigsum import (
     projection_sums,
     segment_direction_angles,
 )
+from trigsum import geometry
+from trigsum.chebyshev import _u
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,6 +183,27 @@ def test_chebyshev_form_point_check_order():
         chebyshev_form_point(math.inf, MAX_DEGREE + 2)
     with pytest.raises(DegreeTooLarge):
         chebyshev_form_point(0.5, MAX_DEGREE + 2)
+
+
+def test_chebyshev_form_point_calls_chebyshev_u(monkeypatch):
+    calls = []
+
+    def counting(degree, x):
+        calls.append((degree, x))
+        return chebyshev_u(degree, x)
+
+    monkeypatch.setattr(geometry, "chebyshev_u", counting)
+    alpha, n = 0.7, 9
+    cos_a = math.cos(alpha)
+    p = chebyshev_form_point(alpha, n)
+    assert calls == [(n - 1, cos_a)]
+    u = _u(n - 1, cos_a)  # the recurrence's core, for a checked degree
+    assert (p.x.hex(), p.y.hex()) == ((cos_a * u).hex(), (math.sin(alpha) * u).hex())
+    with pytest.raises(DegreeTooLarge,
+                       match=f"^degree = {MAX_DEGREE + 1} exceeds the configured maximum "
+                             f"{MAX_DEGREE}$"):
+        chebyshev_form_point(0.5, MAX_DEGREE + 2)
+    assert len(calls) == 2
 
 
 def test_chebyshev_form_examples():

@@ -354,6 +354,27 @@ def test_sum_auto_even_odd_families():
     assert near.value == pytest.approx(naive_trig_sum(spec(PI + 1e-9, 5, Family.EVEN)))
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_sum_auto_fallback_calls_naive_trig_sum_at_the_reduced_angle(monkeypatch, family):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return naive_trig_sum(spec)
+
+    monkeypatch.setattr(kernels, "naive_trig_sum", counting)
+    rad = 3 * PI + 5e-5  # j = 3 for the period pi: the odd family's sign is -1
+    r, sign = _reduced(rad, family)
+    assert sign == (-1.0 if family is Family.ODD else 1.0)
+    result = sum_auto(spec(rad, 1001, family))
+    assert result.method is Method.NAIVE_FALLBACK
+    assert calls == [SumSpec(r, 1001, family)]
+    literal = sign * kernels._add_terms(0.0, r, kernels._multiples(family, 0, 1001))
+    assert result.value.hex() == literal.hex()
+    assert sum_auto(spec(1.0, 1001, family)).method is Method.CLOSED_FORM
+    assert len(calls) == 1
+
+
 def test_nan_threshold_is_rejected():
     nan = float("nan")
     # NaN compares false with every denominator, so it used to pass even an

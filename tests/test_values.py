@@ -1,9 +1,9 @@
 """The contract of the library's immutable value types.
 
 Angle, SumSpec, SumValue, Route, Point2, ConstructionConfig, PointSeq,
-OrbitCurve and BenchResult are values: they are built positionally or by
-keyword with the documented defaults, compare and hash by field and only
-against their own class, print as ClassName(field=value, ...), refuse
+OrbitCurve, BenchResult and GridSpec are values: they are built positionally
+or by keyword with the documented defaults, compare and hash by field and
+only against their own class, print as ClassName(field=value, ...), refuse
 assignment and deletion, validate their inputs in a fixed order, and survive
 pickle and copy unchanged.
 """
@@ -23,6 +23,7 @@ from trigsum.bench import BenchResult
 from trigsum.geometry import ConstructionConfig, Line, Point2, PointSeq
 from trigsum.kernels import ROUTES, Family, Method, Route, SumSpec, SumValue, sum_auto
 from trigsum.orbit import OrbitCurve
+from trigsum.verify import DEFAULT_GUARD, GridSpec
 
 A = Angle(0.25)
 P0 = Point2(0.0, 0.0)
@@ -56,6 +57,9 @@ CASES = [
      "samples=((0.0, 0.0, 0.0), (0.5, 1.5, -0.25)))"),
     (BenchResult, (1234.5, 6.25), {"naive_ns_per_eval": 1234.5, "closed_ns_per_eval": 6.25},
      "BenchResult(naive_ns_per_eval=1234.5, closed_ns_per_eval=6.25)"),
+    (GridSpec, (0.5, 1.5, 3, (1, 4), 0.0),
+     {"angle_min": 0.5, "angle_max": 1.5, "steps": 3, "counts": (1, 4), "guard": 0.0},
+     "GridSpec(angle_min=0.5, angle_max=1.5, steps=3, counts=(1, 4), guard=0.0)"),
 ]
 
 IDS = [case[0].__name__ for case in CASES]
@@ -87,6 +91,7 @@ def test_defaults():
     assert SumSpec(A, 3) == SumSpec(A, 3, Family.FULL)
     cfg = ConstructionConfig(A, 4)
     assert cfg.start_line is Line.X
+    assert GridSpec(0.5, 1.5, 3, (1,)).guard == DEFAULT_GUARD == 0.01
 
 
 def test_angles_are_coerced():
@@ -199,6 +204,11 @@ NAN = float("nan")
     (lambda: Point2(1.0, -math.inf), r"coordinates must be finite, got \(1.0, -inf\)"),
     (lambda: ConstructionConfig(NAN, 0), "angle must be finite, got nan"),
     (lambda: ConstructionConfig(1.0, 0), "n must be >= 1, got 0"),
+    # GridSpec: the counts, then the grid, then non-empty counts, then the guard
+    (lambda: GridSpec(NAN, 1.0, 1, (0,), -1.0), r"counts must all be >= 1, got \(0,\)"),
+    (lambda: GridSpec(NAN, 1.0, 1, (), -1.0), "angle bounds must be finite"),
+    (lambda: GridSpec(0.0, 1.0, 2, (), -1.0), "counts must be non-empty"),
+    (lambda: GridSpec(0.0, 1.0, 2, (1,), -1.0), "guard must be finite and >= 0, got -1.0"),
 ])
 def test_validation_order(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
