@@ -108,31 +108,45 @@ def _multiples(family: Family, done: int, count: int) -> range:
     return range(2 * done + 1, 2 * count, 2)
 
 
-def _add_terms(total: float, rad: float, multiples: range) -> float:
-    """Add cos(mult * rad) to total for each multiplier, in order.
+#: k * step for k = 1..32, as floats, for the two steps of _multiples' ranges:
+#: a run's offsets from its first multiplier, and the step to the next run.
+_RUN_OFFSETS = {step: tuple(float(k * step) for k in range(1, 33)) for step in (1, 2)}
 
-    Runs of eight terms are added in one left-associated expression, so the
-    additions are those of the one-term loop, in its order. The multiplier
-    steps as a float, which is the exact integer below 2**53 (no loop gets
-    near that many terms), so every product has the bits of mult * rad. The
-    last len % 8 terms take the one-term loop, and a range shorter than 8
-    takes only that loop, with no run set-up.
+
+def _add_terms(total: float, r: float, multiples: range) -> float:
+    """Add cos(mult * r) to total for each multiplier of a _multiples range,
+    in order.
+
+    Each run of 32 terms is one left-associated expression, so every addition
+    is the one-term loop's, in its order, and the sum keeps that loop's bits
+    and its recursive-summation error; the run shares only the loop
+    overhead. The multiplier steps as a float: it is an exact integer below
+    2**53 (no loop gets near that many terms), so each product has the bits
+    of mult * r. The run offsets are built once, at import, so a run costs
+    no set-up per call. The last len % 32 terms take the one-term loop, and
+    a range shorter than 32 takes only that loop.
     """
     cos = math.cos
-    whole = len(multiples) & ~7
+    whole = len(multiples) & ~31
     if whole:
-        s1 = float(multiples.step)
-        s2, s3, s4, s5, s6, s7 = 2.0 * s1, 3.0 * s1, 4.0 * s1, 5.0 * s1, 6.0 * s1, 7.0 * s1
-        jump = 8.0 * s1
+        (s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11,
+         s12, s13, s14, s15, s16, s17, s18, s19, s20, s21,
+         s22, s23, s24, s25, s26, s27, s28, s29, s30, s31, jump) = _RUN_OFFSETS[multiples.step]
         x = float(multiples.start)
-        for _ in range(whole >> 3):
-            total = (total + cos(x * rad) + cos((x + s1) * rad) + cos((x + s2) * rad)
-                     + cos((x + s3) * rad) + cos((x + s4) * rad) + cos((x + s5) * rad)
-                     + cos((x + s6) * rad) + cos((x + s7) * rad))
+        for _ in range(whole >> 5):
+            total = (
+                total + cos(x * r) + cos((x + s1) * r) + cos((x + s2) * r) + cos((x + s3) * r)
+                + cos((x + s4) * r) + cos((x + s5) * r) + cos((x + s6) * r) + cos((x + s7) * r)
+                + cos((x + s8) * r) + cos((x + s9) * r) + cos((x + s10) * r) + cos((x + s11) * r)
+                + cos((x + s12) * r) + cos((x + s13) * r) + cos((x + s14) * r) + cos((x + s15) * r)
+                + cos((x + s16) * r) + cos((x + s17) * r) + cos((x + s18) * r) + cos((x + s19) * r)
+                + cos((x + s20) * r) + cos((x + s21) * r) + cos((x + s22) * r) + cos((x + s23) * r)
+                + cos((x + s24) * r) + cos((x + s25) * r) + cos((x + s26) * r) + cos((x + s27) * r)
+                + cos((x + s28) * r) + cos((x + s29) * r) + cos((x + s30) * r) + cos((x + s31) * r))
             x += jump
         multiples = multiples[whole:]
     for mult in multiples:
-        total += cos(mult * rad)
+        total += cos(mult * r)
     return total
 
 

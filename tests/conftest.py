@@ -7,9 +7,13 @@ Criterion 8 (test_acceptance.py) times a million-term naive sum in one
 single-threaded child that takes most of the suite's wall time. When the
 test is selected, its child starts as soon as collection ends, the test
 runs last and waits for it, so the child runs beside the other tests.
+On Linux the child is killed when pytest ends, however it ends:
+pytest_sessionfinish does not run when pytest is stopped by a signal.
 """
 
+import ctypes
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +30,22 @@ CRITERION_8 = "test_08_closed_form_speedup"
 CRITERION_8_ARGV = [sys.executable, "-m", "trigsum.cli", "bench",
                     "--m", "1000000", "--repeats", "1112"]
 _children: dict[str, subprocess.Popen] = {}
+#: prctl option (linux/prctl.h): the signal a child gets when its parent ends.
+PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent():
+    """A preexec_fn that has Linux SIGKILL the child when its parent ends."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes, libc.prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    parent = os.getpid()
+
+    def preexec():
+        libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:  # the parent ended before prctl took hold
+            os._exit(1)
+
+    return preexec
 
 
 def pytest_collection_modifyitems(items):
@@ -36,7 +56,8 @@ def pytest_collection_finish(session):
     if not session.config.option.collectonly and any(
             item.name == CRITERION_8 for item in session.items):
         _children[CRITERION_8] = subprocess.Popen(
-            CRITERION_8_ARGV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            CRITERION_8_ARGV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=_die_with_parent() if sys.platform == "linux" else None)
 
 
 @pytest.fixture

@@ -83,13 +83,14 @@ def literal_sum(phi, count, family):
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("phi", [0.37, -2.5, 123456.789, PI, 40000 * PI + 5e-5, 0.0])
 def test_naive_kernel_matches_the_literal_loop_bit_for_bit(family, phi):
-    # every remainder mod 8, below and above one run of eight, and two long sums
-    counts = [*range(1, 41), 1000, 4103]
+    # every remainder mod 32, one count each side of one run and of two runs of
+    # 32, and two long sums
+    counts = [*range(1, 70), 1000, 4103]
     assert [naive_trig_sum(spec(phi, c, family)).hex() for c in counts] == [
         literal_sum(phi, c, family).hex() for c in counts
     ]
-    # running counts that start and stop inside a run of eight
-    split = (3, 8, 9, 16, 17, 5, 1000, 3)
+    # running counts that start and stop inside a run of 32
+    split = (3, 31, 32, 33, 40, 64, 65, 5, 1000, 3)
     assert [x.hex() for x in naive_running_sums(phi, family, split)] == [
         literal_sum(phi, c, family).hex() for c in split
     ]
@@ -104,9 +105,9 @@ def test_naive_running_sums_validation():
 
 
 #: Gaps between consecutive distinct counts: one term (consecutive ones make
-#: one run of float multipliers in the plan), shorter than a run of eight, and
-#: at least one run of eight.
-GAP_KINDS = (st.just(1), st.integers(2, 7), st.integers(8, 300))
+#: one run of float multipliers in the plan), shorter than a run of 32, and at
+#: least one run of 32.
+GAP_KINDS = (st.just(1), st.integers(2, 31), st.integers(32, 300))
 
 
 @st.composite
@@ -303,8 +304,9 @@ def literal_x_identity_lhs(alpha, k):
 
 @pytest.mark.parametrize("alpha", [0.37, -2.5, 123456.789, PI / 3, 2 * PI - 1e-7])
 def test_x_identity_lhs_matches_the_literal_loop_bit_for_bit(alpha):
-    # every remainder mod 8, below and above one run of eight, and two long sums
-    ks = [*range(41), 999, 4103]
+    # every remainder mod 32, one count each side of one run and of two runs of
+    # 32, and two long sums
+    ks = [*range(70), 999, 4103]
     assert [x_coordinate_identity(alpha, k, threshold=0.0)[0].hex() for k in ks] == [
         literal_x_identity_lhs(alpha, k).hex() for k in ks
     ]
