@@ -32,6 +32,15 @@ def test_claim_needs_nine_wins_in_ten():
     assert not s["claim_rule_holds"]
 
 
+def test_claim_needs_ten_pairs_even_when_every_pair_is_won():
+    for pairs in (2, 5, 9):
+        s = ab_pairs.summarize(PARENT[:pairs], GAIN[:pairs], "higher")
+        assert s["change_better_pairs"] == pairs
+        assert s["change_median"] - s["parent_median"] > s["parent_q3"] - s["parent_q1"]
+        assert not s["claim_rule_holds"]
+        assert "claim rule not judged below 10 pairs" in ab_pairs.format_summary({"m": s})[0]
+
+
 def test_claim_needs_a_median_gap_beyond_the_parents_iqr():
     # every pair won by 0.5, while the parent's runs spread over 2.1
     s = ab_pairs.summarize(PARENT, [p + 0.5 for p in PARENT], "higher")
@@ -69,7 +78,8 @@ def test_summarize_runs_reads_each_metric_by_side_and_its_better_field():
     assert summary["op_tail_ms"]["change_better_pairs"] == 3
     lines = ab_pairs.format_summary(summary)
     assert lines[0].startswith("ops_per_s: parent 201 [200.5, 201.5]  change 231 ")
-    assert "change higher in 3/3  claim rule holds" in lines[0]
+    assert "change higher in 3/3  claim rule not judged below 10 pairs" in lines[0]
+    assert not summary["ops_per_s"]["claim_rule_holds"]
 
 
 def test_summary_needs_matched_pairs():

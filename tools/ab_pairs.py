@@ -2,20 +2,22 @@
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload near_singular --seed 1
     python3 tools/ab_pairs.py PARENT CHANGE --workload sweep --seed 2 \\
-        --pairs 10 --seconds 20 --out sweep.json
+        --pairs 10 --out sweep.json
 
 Runs the command that BENCHMARK.json names (`python3 perfbench/run.py`) with
-`--workload W --seed S --seconds N --trace 0` in each checkout, pair by
-pair: the parent first in even pairs (from 0), the change first in odd
-ones. Both sides run with PYTHONDONTWRITEBYTECODE=1, and a checkout that
-already holds src/trigsum/__pycache__ is refused, since a stale bytecode
-cache times other code than the sources. Prints each run's end-to-end
-metrics, `failed` and `attempted`, then per metric both medians and both
-quartiles, the change's wins by the metric's `better` field, and whether
-the claim rule holds for it: the change better in at least 9 of 10 pairs
-(90% of them) and its median better than the parent's by more than the
-parent's interquartile range. --out writes the runs and the summary as
-JSON. Uses the standard library only.
+`--workload W --seed S --seconds N --trace 0` in each checkout, N being
+BENCHMARK.json's `run_seconds`, pair by pair: the parent first in even
+pairs (from 0), the change first in odd ones. Both sides run with
+PYTHONDONTWRITEBYTECODE=1, and a checkout that already holds
+src/trigsum/__pycache__ is refused, since a stale bytecode cache times
+other code than the sources. Prints each run's end-to-end metrics, `failed`
+and `attempted`, then per metric both medians and both quartiles, the
+change's wins by the metric's `better` field, and whether the claim rule
+holds for it: at least 10 pairs, the change better in at least 90% of them
+(9 of 10), and its median better than the parent's by more than the
+parent's interquartile range. Fewer pairs are compared but never make a
+claim. --out writes the runs and the summary as JSON. Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 #: The claim rule's share of pairs the change must win (9 of 10).
 WIN_SHARE = 0.9
+#: The fewest pairs the claim rule judges.
+CLAIM_PAIRS = 10
 
 
 def check_checkout(tree: Path) -> None:
@@ -76,7 +80,8 @@ def summarize(parent_runs: list[float], change_runs: list[float], better: str) -
         "change_vs_parent": (c_median - p_median) / p_median if p_median else None,
         "change_better_pairs": wins,
         "pairs": pairs,
-        "claim_rule_holds": wins >= WIN_SHARE * pairs and gain > p_q3 - p_q1,
+        "claim_rule_holds": (pairs >= CLAIM_PAIRS and wins >= WIN_SHARE * pairs
+                             and gain > p_q3 - p_q1),
         "parent_runs": parent_runs,
         "change_runs": change_runs,
     }
@@ -93,6 +98,12 @@ def summarize_runs(runs: list[dict], end_to_end: list[dict]) -> dict:
     }
 
 
+def _verdict(s: dict) -> str:
+    if s["pairs"] < CLAIM_PAIRS:
+        return f"not judged below {CLAIM_PAIRS} pairs"
+    return "holds" if s["claim_rule_holds"] else "does not hold"
+
+
 def format_summary(summary: dict) -> list[str]:
     lines = []
     for name, s in summary.items():
@@ -103,7 +114,7 @@ def format_summary(summary: dict) -> list[str]:
             f"[{s['change_q1']:.6g}, {s['change_q3']:.6g}]  "
             f"{'n/a' if change is None else f'{change:+.2%}'}  "
             f"change {s['better']} in {s['change_better_pairs']}/{s['pairs']}  "
-            f"claim rule {'holds' if s['claim_rule_holds'] else 'does not hold'}")
+            f"claim rule {_verdict(s)}")
     return lines
 
 
@@ -114,7 +125,6 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -133,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             result = run_once(trees[side], benchmark["command"], args.workload,
-                              args.seed, args.seconds)
+                              args.seed, benchmark["run_seconds"])
             metrics = {name: result["metrics"][name]["value"] for name in names}
             runs.append({"pair": pair, "side": side, "correct": result["correct"],
                          "attempted": result["attempted"], "failed": result["failed"],
@@ -147,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         args.out.write_text(json.dumps({
             "command": [*benchmark["command"], "--workload", args.workload,
-                        "--seed", str(args.seed), "--seconds", str(args.seconds),
+                        "--seed", str(args.seed), "--seconds", str(benchmark["run_seconds"]),
                         "--trace", "0"],
             "order": "parent first in even pairs (from 0), change first in odd ones",
             "runs": runs, "summary": summary}, indent=1) + "\n")
