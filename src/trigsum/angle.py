@@ -78,6 +78,13 @@ def as_angle(value: Angle | float) -> Angle:
     return Angle(float(value))
 
 
+def _radians(value: Angle | float) -> float:
+    """as_angle(value).radians, without building an Angle for a finite float."""
+    if value.__class__ is float and _isfinite(value):
+        return value
+    return as_angle(value).radians
+
+
 def int_text(value: int | tuple[int, ...], name: str | None = None) -> str:
     """An int for a message: its digits ("name = digits" given a name) up to 2048
     bits, where str() is within any int_max_str_digits (617 digits against 640 at

@@ -149,6 +149,8 @@ def _walk(cos_a: float, sin_a: float, n: int,
     other root. Where the discriminant is below TOL_TANGENT that root is
     2 s cos(a) - t_{l-2}, from the sum of the roots. A_1 lies on start_line
     and the lines alternate, so each t is placed along its line's direction.
+    _projection_totals repeats these steps in a loop of its own, and
+    test_projection_sums_match_projection_sum holds the two to the same bits.
     """
     tol_tangent = TOL_TANGENT  # read at every step, so bound as a local
     even, odd = (_direction(line, cos_a, sin_a) for line in _parity_lines(start_line))
@@ -257,31 +259,53 @@ def projection_sums(cfg: ConstructionConfig, target: Line | str,
     counts = tuple(map(_index, counts))
     if any(count < 1 or count > cfg.n for count in counts):
         raise CountOutOfRange(f"counts must be in 1..{cfg.n}, got {int_text(counts)}")
-    totals = _projection_totals(cfg.alpha.radians, cfg.n, cfg.start_line, Line(target),
+    totals = _projection_totals(cfg.alpha.radians, cfg.start_line, Line(target),
                                 sorted(set(counts)))
     return [totals[count] for count in counts]
 
 
-def _projection_totals(rad: float, n: int, start_line: Line, target: Line,
+def _projection_totals(rad: float, start_line: Line, target: Line,
                        wanted: Iterable[int]) -> dict[int, float]:
     """The core of projection_sums, on checked arguments: the running total of
-    the segment projections onto target at each wanted index of one walk to n.
+    the segment projections onto target at each wanted index of one walk.
 
-    wanted holds distinct indices in 1..n in increasing order. The walk goes
-    one segment run per wanted index, up to it, and stops at the last one;
-    each segment's projection is added in index order, as projection_sum does.
+    wanted holds distinct indices from 1 in increasing order. The walk stops
+    at the last one and adds each segment's projection in index order, as
+    projection_sum does. It steps the construction in its own loop, with no
+    generator and no tuple per step, but every expression is _walk's, in the
+    same order, so each point and total has the bits that construct_points
+    and projection_sum give.
     """
     cos_a, sin_a = _cos_sin(rad)
     tx, ty = _direction(target, cos_a, sin_a)
-    totals: dict[int, float] = {}
+    (ex, ey), (ox, oy) = (_direction(line, cos_a, sin_a) for line in _parity_lines(start_line))
+    tol_tangent, sqrt = TOL_TANGENT, math.sqrt  # read at every step, so bound as locals
+    prev2, prev = 0.0, 1.0
+    px, py = prev2 * ex, prev2 * ey  # A_0
+    x, y = prev * ox, prev * oy  # A_1, on start_line
     total = 0.0
-    points = _walk(cos_a, sin_a, n, start_line)
-    px, py, _ = next(points)
-    done = 0
+    total += (x - px) * tx + (y - py) * ty
+    px, py = x, y
+    totals: dict[int, float] = {}
+    done = 1
     for index in wanted:
-        for x, y, _ in islice(points, index - done):
+        for step in range(done + 1, index + 1):
+            proj = prev * cos_a
+            perp = prev * sin_a
+            disc = 1.0 - perp * perp
+            if disc < tol_tangent:
+                t = 2.0 * proj - prev2
+            else:
+                half = sqrt(disc)
+                lo, hi = proj - half, proj + half
+                t = hi if abs(hi - prev2) >= abs(lo - prev2) else lo
+            if step & 1:
+                x, y = t * ox, t * oy
+            else:
+                x, y = t * ex, t * ey
             total += (x - px) * tx + (y - py) * ty
             px, py = x, y
+            prev2, prev = prev, t
         totals[index] = total
         done = index
     return totals

@@ -28,7 +28,7 @@ import math
 from enum import Enum
 from typing import Callable, Sequence
 
-from .angle import Angle, Record, as_angle, as_count, as_counts
+from .angle import Angle, Record, _radians, as_angle, as_count, as_counts
 from .errors import SingularDenominator
 
 #: Fallback/guard threshold on the denominator magnitude. At 1e-4 a closed
@@ -94,16 +94,16 @@ _set_angle, _set_count, _set_family = (
     SumSpec.angle.__set__, SumSpec.count.__set__, SumSpec.family.__set__)
 _set_value, _set_method, _set_proximity = (
     SumValue.value.__set__, SumValue.method.__set__, SumValue.singular_proximity.__set__)
-_FULL, _ODD = Family.FULL, Family.ODD
+_FULL, _EVEN, _ODD = Family.FULL, Family.EVEN, Family.ODD
 _new, _sin = object.__new__, math.sin
 _CLOSED_FORM, _NAIVE_FALLBACK = Method.CLOSED_FORM, Method.NAIVE_FALLBACK
 
 
 def _multiples(family: Family, done: int, count: int) -> range:
     """Angle multipliers of terms done+1 .. count of the family, in increasing order."""
-    if family is Family.FULL:
+    if family is _FULL:
         return range(done + 1, count + 1)
-    if family is Family.EVEN:
+    if family is _EVEN:
         return range(2 * done + 2, 2 * count + 1, 2)
     return range(2 * done + 1, 2 * count, 2)
 
@@ -259,9 +259,11 @@ class RunningSumPlan:
     that is the exact integer (below 2**53), and consecutive one-term gaps
     form one step, a list of those floats added in one comprehension: the
     same additions in the same order. Every other gap is a range that goes
-    to _add_terms. The plan holds O(len(counts)) values, never one per term,
-    so huge counts cost nothing until a pass runs. The family goes through
-    Family(family), the counts through as_counts.
+    to _add_terms. Where counts are already distinct and increasing, the
+    pass's totals are the result, with no read-off. The plan holds
+    O(len(counts)) values, never one per term, so huge counts cost nothing
+    until a pass runs. The family goes through Family(family), the counts
+    through as_counts.
     """
 
     __slots__ = ("_steps", "_index")
@@ -270,7 +272,7 @@ class RunningSumPlan:
         family, counts = Family(family), as_counts(counts)
         distinct = sorted(set(counts))
         position = {count: i for i, count in enumerate(distinct)}
-        self._index = [position[count] for count in counts]
+        self._index = None if list(counts) == distinct else [position[count] for count in counts]
         self._steps: list[list[float] | range] = []
         done = 0
         for count in distinct:
@@ -294,6 +296,8 @@ class RunningSumPlan:
             else:
                 total = _add_terms(total, rad, step)
                 totals.append(total)
+        if self._index is None:
+            return totals
         return list(map(totals.__getitem__, self._index))
 
 
@@ -324,21 +328,30 @@ def _guard(den: float, threshold: float, what: str) -> float:
     return den
 
 
+def _exact(x: int) -> float | int:
+    """x as a float where that is the exact integer (below 2**53), else the int
+    itself. Either way x * rad has the bits of the int's product, and an int no
+    float can hold raises OverflowError there, not here."""
+    return float(x) if x < 2**53 else x
+
+
 class Route(Record):
     """One closed form: the sum it evaluates and the sine it divides by.
 
     family is None for the terminal abscissa, which is no family sum; label
-    names the denominator in SingularDenominator messages; evaluate maps
-    (radians, checked denominator, count sequence) to the value at each
-    count, in their order.
+    names the denominator in SingularDenominator messages; multiplier maps a
+    count to what the body multiplies the angle by (a pair for halfangle),
+    prepared once per count; evaluate maps (radians, checked denominator,
+    prepared multipliers) to the value at each, in their order.
     """
 
-    __slots__ = ("name", "family", "label", "denominator", "evaluate")
+    __slots__ = ("name", "family", "label", "denominator", "multiplier", "evaluate")
 
     def __init__(self, name: str, family: Family | None, label: str,
                  denominator: Callable[[float], float],
-                 evaluate: Callable[[float, float, Sequence[int]], list[float]]) -> None:
-        self._set(name, family, label, denominator, evaluate)
+                 multiplier: Callable[[int], object],
+                 evaluate: Callable[[float, float, Sequence], list[float]]) -> None:
+        self._set(name, family, label, denominator, multiplier, evaluate)
 
     def checked(self, rad: float, threshold: float) -> float:
         """The denominator at rad; raises below threshold or at exactly zero."""
@@ -347,31 +360,35 @@ class Route(Record):
     def __call__(self, angle: Angle | float, count: int, threshold: float) -> float:
         """The closed form at (angle, count), the count through as_count; raises
         SingularDenominator where the denominator is below threshold or zero."""
-        count = as_count(count, "m" if self.family is Family.FULL else "k")
-        rad = as_angle(angle).radians
-        return self.evaluate(rad, self.checked(rad, threshold), (count,))[0]
+        count = as_count(count, "m" if self.family is _FULL else "k")
+        rad = _radians(angle)
+        return self.evaluate(rad, self.checked(rad, threshold), (self.multiplier(count),))[0]
 
 
 #: Every closed form by name. The even and odd routes are named after their
-#: family; the full family has one route per form. Each evaluate takes an
-#: angle in radians, its checked denominator and a count sequence, and returns
-#: the closed form at each count from one comprehension; a count no float can
-#: hold raises OverflowError where its multiplier meets the angle.
+#: family; the full family has one route per form. Each multiplier is exact
+#: where a float holds it (_exact); lagrange's m + 0.5 keeps the int m from
+#: 2**53 on, where m + 0.5 rounds to the float of m. Each evaluate takes an
+#: angle in radians, its checked denominator and the prepared multipliers, and
+#: returns the closed form at each from one comprehension, with the bits of the
+#: int count's expression; a count no float can hold raises OverflowError where
+#: its multiplier meets the angle.
 ROUTES: dict[str, Route] = {
     route.name: route
     for route in (
         Route("lagrange", Family.FULL, "sin(phi/2)", lambda rad: math.sin(0.5 * rad),
-              lambda rad, den, ms: [0.5 * (math.sin((m + 0.5) * rad) / den - 1.0) for m in ms]),
+              lambda m: m + 0.5 if m < 2**53 else m,
+              lambda rad, den, ms: [0.5 * (math.sin(m * rad) / den - 1.0) for m in ms]),
         Route("halfangle", Family.FULL, "sin(phi)", math.sin,
-              lambda rad, den, ms: [0.5 * ((math.sin((m + 1) * rad) + math.sin(m * rad)) / den
-                                           - 1.0) for m in ms]),
-        Route("even", Family.EVEN, "sin(alpha)", math.sin,
-              lambda rad, den, ks: [0.5 * (math.sin((2 * k + 1) * rad) / den - 1.0) for k in ks]),
-        Route("odd", Family.ODD, "sin(alpha)", math.sin,
-              lambda rad, den, ks: [0.5 * math.sin(2 * k * rad) / den for k in ks]),
-        Route("x_terminal", None, "sin(alpha)", math.sin,
-              lambda rad, den, ks: [math.cos(rad) * math.sin((2 * k + 2) * rad) / den
-                                    for k in ks]),
+              lambda m: (_exact(m + 1), _exact(m)),
+              lambda rad, den, ms: [0.5 * ((math.sin(m1 * rad) + math.sin(m * rad)) / den - 1.0)
+                                    for m1, m in ms]),
+        Route("even", Family.EVEN, "sin(alpha)", math.sin, lambda k: _exact(2 * k + 1),
+              lambda rad, den, ms: [0.5 * (math.sin(m * rad) / den - 1.0) for m in ms]),
+        Route("odd", Family.ODD, "sin(alpha)", math.sin, lambda k: _exact(2 * k),
+              lambda rad, den, ms: [0.5 * math.sin(m * rad) / den for m in ms]),
+        Route("x_terminal", None, "sin(alpha)", math.sin, lambda k: _exact(2 * k + 2),
+              lambda rad, den, ms: [math.cos(rad) * math.sin(m * rad) / den for m in ms]),
     )
 }
 
@@ -438,11 +455,12 @@ def x_coordinate_identity(
     agreement. k = 0 is allowed and collapses the middle sum.
     """
     k = as_count(k, "k", least=0)
-    rad = as_angle(alpha).radians
-    # twice the naive even sum from 0.5: doubling is exact, so these are the literal loop's bits
-    lhs = 2.0 * _add_terms(0.5, rad, _multiples(Family.EVEN, 0, k)) + math.cos((2 * k + 2) * rad)
+    rad = _radians(alpha)
     terminal = ROUTES["x_terminal"]
-    return lhs, terminal.evaluate(rad, terminal.checked(rad, threshold), (k,))[0]
+    top = terminal.multiplier(k)  # 2k + 2
+    # twice the naive even sum from 0.5: doubling is exact, so these are the literal loop's bits
+    lhs = 2.0 * _add_terms(0.5, rad, _multiples(_EVEN, 0, k)) + math.cos(top * rad)
+    return lhs, terminal.evaluate(rad, terminal.checked(rad, threshold), (top,))[0]
 
 
 def sum_auto(

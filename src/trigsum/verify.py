@@ -110,13 +110,14 @@ def _route_pair(first: str, second: str) -> _Prepare:
 
     def prepare(counts: Sequence[int]) -> _Rule:
         plan = kernels.RunningSumPlan(routes[0].family, counts) if second == kernels.NAIVE else None
+        mults = [list(map(route.multiplier, counts)) for route in routes]
 
         def rule(rad: float, guard: float) -> list[float]:
             dens = [route.checked(rad, guard) for route in routes]
             # the closed side first, so a count no float can hold raises
             # before the O(max(counts)) oracle pass
-            closed = evaluate(rad, dens[0], counts)
-            other = plan(rad) if plan is not None else routes[1].evaluate(rad, dens[1], counts)
+            closed = evaluate(rad, dens[0], mults[0])
+            other = plan(rad) if plan is not None else routes[1].evaluate(rad, dens[1], mults[1])
             return [a - b for a, b in zip(closed, other)]
 
         return rule
@@ -132,14 +133,15 @@ def _projection_vs_closed_form(counts: Sequence[int]) -> _Rule:
     # construction walk, to the largest n, serves every count. The closed
     # side runs first, so a count no float can hold raises before the walk.
     terminal = kernels.ROUTES["x_terminal"]
+    mults = list(map(terminal.multiplier, counts))
     ns = [2 * k + 2 for k in counts]
-    n_max, wanted = max(ns), sorted(set(ns))
+    wanted = sorted(set(ns))
 
     def rule(rad: float, guard: float) -> list[float]:
         den = terminal.checked(rad, guard)
         kernels._guard(math.cos(rad), guard, "cos(alpha)")
-        rhs = terminal.evaluate(rad, den, counts)
-        totals = geometry._projection_totals(rad, n_max, geometry.Line.X, geometry.Line.X, wanted)
+        rhs = terminal.evaluate(rad, den, mults)
+        totals = geometry._projection_totals(rad, geometry.Line.X, geometry.Line.X, wanted)
         return [totals[n] - r for n, r in zip(ns, rhs)]
 
     return rule
@@ -157,13 +159,8 @@ def _decomposition_vs_halfangle(counts: Sequence[int]) -> _Rule:
     d is normal: |s| <= 1, and s2 is normal whenever d is.
     """
     routes = [kernels.ROUTES[name] for name in ("even", "odd", "halfangle")]
-    # The sine multipliers 2k+1 and 2k, as floats where that is the exact
-    # integer (below 2**53). Either way the product has the bits of the
-    # int's, and a count no float can hold still raises at its angle.
-    odd_mults, even_mults = (
-        [float(m) if m < 2**53 else m for m in mults]
-        for mults in ([2 * k + 1 for k in counts], [2 * k for k in counts])
-    )
+    # The even and odd routes' multipliers, 2k+1 and 2k (see kernels.ROUTES)
+    odd_mults, even_mults = (list(map(route.multiplier, counts)) for route in routes[:2])
     sin = math.sin
     normal_min = sys.float_info.min
 
@@ -209,18 +206,23 @@ def residual_sweep(
     """Evaluate a pair over the grid and aggregate |residual| statistics.
 
     The pair is prepared once per sweep for the grid's counts, so every
-    per-count constant is computed once: the running-sum plan of the
-    ...VsNaive pairs (kernels.RunningSumPlan: the distinct counts, runs of
-    one-term gaps as float multipliers, a range per other gap, the read-off
-    position of each count), the construction's sorted lengths n = 2k + 2
-    and the sine multipliers 2k+1 and 2k of DecompositionVsHalfangle. Each
-    angle then costs the pair's denominators and their guard once, one call
-    per route body over all the counts (Route.evaluate takes the count
-    sequence), one ordered naive pass up to max(counts) for the oracle
-    pairs, one construction walk up to n = 2 max(counts) + 2 for the
-    projection pair, a segment run per wanted n (on geometry's private core:
-    no Angle, ConstructionConfig or count check per angle), and two sines
-    per count, sin((2k+1) a) and sin(2k a), shared by
+    per-count constant is computed once: each route's multipliers
+    (Route.multiplier: what its body multiplies the angle by, a float, or
+    the int from 2**53 on, so each product keeps the int count's bits and a
+    count no float can hold raises OverflowError at the first evaluated
+    angle), the running-sum plan of the ...VsNaive pairs
+    (kernels.RunningSumPlan: the distinct counts, runs of one-term gaps as
+    float multipliers, a range per other gap, the read-off position of each
+    count, none where the counts are distinct and increasing) and the
+    construction's sorted lengths n = 2k + 2. Each angle then costs the
+    pair's denominators and their guard once, one call per route body over
+    all the prepared multipliers, the closed side first, so such a count
+    raises before the other side runs; one ordered naive pass up to
+    max(counts) for the oracle pairs; one construction walk up to
+    n = 2 max(counts) + 2 for the projection pair, in geometry's private
+    loop (no generator, no Angle, ConstructionConfig or count check per
+    angle, and _walk's expressions in their order); and two sines per
+    count, sin((2k+1) a) and sin(2k a), shared by
     DecompositionVsHalfangle's three closed forms, which divide by 2 sin(a)
     instead of halving wherever sin(a) is a normal double: an exact
     rewrite, with the same bits (see the rule). Plan memory is

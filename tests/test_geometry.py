@@ -274,11 +274,14 @@ def test_projection_count_bounds():
 
 
 @pytest.mark.parametrize("start", list(Line))
-@pytest.mark.parametrize("alpha", [math.pi / 4, -math.pi / 3, *REGULAR_ANGLES, 41.3])
+@pytest.mark.parametrize("alpha", [math.pi / 4, -math.pi / 3, *REGULAR_ANGLES, 41.3,
+                                   5.799494954972601])
 def test_projection_sums_match_projection_sum(alpha, start):
-    cfg = ConstructionConfig(Angle(alpha), 120, start)
+    # projection_sums steps the construction in its own loop: every point of
+    # it must be _walk's, through the tangent step 329 of the last angle
+    cfg = ConstructionConfig(Angle(alpha), 500, start)
     seq = construct_points(cfg)
-    counts = (7, 1, 120, 7, 33, 2)
+    counts = (7, 1, 120, 7, 33, 2, 329, 330, 500)
     for target in Line:
         running = projection_sums(cfg, target, counts)
         assert [x.hex() for x in running] == [

@@ -39,11 +39,12 @@ CASES = [
      {"value": 0.5, "method": Method.CLOSED_FORM, "singular_proximity": 0.125},
      "SumValue(value=0.5, method=<Method.CLOSED_FORM: 'ClosedForm'>, "
      "singular_proximity=0.125)"),
-    (Route, ("r", Family.EVEN, "sin(alpha)", math.sin, math.hypot),
+    (Route, ("r", Family.EVEN, "sin(alpha)", math.sin, float, math.hypot),
      {"name": "r", "family": Family.EVEN, "label": "sin(alpha)", "denominator": math.sin,
-      "evaluate": math.hypot},
+      "multiplier": float, "evaluate": math.hypot},
      "Route(name='r', family=<Family.EVEN: 'even'>, label='sin(alpha)', "
-     "denominator=<built-in function sin>, evaluate=<built-in function hypot>)"),
+     "denominator=<built-in function sin>, multiplier=<class 'float'>, "
+     "evaluate=<built-in function hypot>)"),
     (Point2, (1.0, -2.0), {"x": 1.0, "y": -2.0}, "Point2(x=1.0, y=-2.0)"),
     (ConstructionConfig, (A, 7, Line.E), {"alpha": A, "n": 7, "start_line": Line.E},
      "ConstructionConfig(alpha=Angle(radians=0.25), n=7, start_line=<Line.E: 'e'>)"),

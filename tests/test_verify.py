@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 import sys
 import tracemalloc
 
@@ -128,6 +129,27 @@ def test_guarded_out_grid_with_counts_no_float_holds_is_empty():
     for pair in ResidualPair:
         with pytest.raises(EmptyGrid):
             residual_sweep(grid, pair)
+
+
+def hang(signum, frame):
+    raise TimeoutError("the sweep ran into its alarm")
+
+
+@pytest.mark.parametrize("pair", list(ResidualPair), ids=lambda pair: pair.value)
+def test_count_no_float_holds_raises_before_the_oracle_pass(pair):
+    # every rule evaluates its closed side first, so the count's multiplier
+    # raises where it meets the first evaluated angle; an oracle pass or a
+    # walk to 2 * 10**400 + 2 that started first would run into the alarm
+    # (or fail in len() with another message)
+    grid = GridSpec(0.5, 0.6, 3, (10**400, 2))
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            residual_sweep(grid, pair)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_monotone_guard():
@@ -394,9 +416,10 @@ def decomposition_by_routes(rad, counts):
     halfangle (m = 2k) bodies, all dividing by sin(rad)."""
     even, odd, whole = (kernels.ROUTES[name] for name in ("even", "odd", "halfangle"))
     d = whole.checked(rad, 0.0)
-    return [(e + o) - w for e, o, w in zip(even.evaluate(rad, d, counts),
-                                           odd.evaluate(rad, d, counts),
-                                           whole.evaluate(rad, d, [2 * k for k in counts]))]
+    return [(e + o) - w for e, o, w in zip(
+        even.evaluate(rad, d, list(map(even.multiplier, counts))),
+        odd.evaluate(rad, d, list(map(odd.multiplier, counts))),
+        whole.evaluate(rad, d, [whole.multiplier(2 * k) for k in counts]))]
 
 
 #: Counts from one term to where 2k sin(a) nears the largest double; the

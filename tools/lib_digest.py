@@ -104,6 +104,10 @@ RUN_COUNTS = ("(1, 2, 3, 4, 9, 10, 11, 12, 13, 200, 201, 202, 5)",
 PLAN_EDGE_COUNTS = "(2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2, 10**400)"
 #: Unsorted, repeated and all below n, so the walk stops short of n.
 PROJECTION_COUNTS = ("(7, 3, 7, 1, 20, 3)", "(39, 2, 38, 2)")
+#: Counts either side of 2**52 and 2**53, where a route's prepared multiplier
+#: turns from a float into the int; two closed forms, so no oracle pass.
+MULTIPLIER_EDGE_GRID = ("GridSpec(0.05, 6.2, 5, (2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, "
+                        "2**53, 2**53 + 1, 3))")
 
 
 def calls() -> list[str]:
@@ -208,6 +212,10 @@ def calls() -> list[str]:
     out += [f"projection_sums(ConstructionConfig({alpha}, 40), Line.{line}, {counts})"
             for alpha in CONSTRUCTION_ANGLES for line in ("X", "E")
             for counts in PROJECTION_COUNTS]
+    out.append(f"residual_sweep({MULTIPLIER_EDGE_GRID}, ResidualPair('LagrangeVsHalfangle'), "
+               "keep_rows=True).to_csv()")
+    out.append(f"residual_sweep({MULTIPLIER_EDGE_GRID}, "
+               "ResidualPair('LagrangeVsHalfangle')).to_json()")
     return out
 
 
