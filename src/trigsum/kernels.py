@@ -376,19 +376,19 @@ class Route(Record):
 ROUTES: dict[str, Route] = {
     route.name: route
     for route in (
-        Route("lagrange", Family.FULL, "sin(phi/2)", lambda rad: math.sin(0.5 * rad),
+        Route("lagrange", Family.FULL, "sin(phi/2)", lambda rad: _sin(0.5 * rad),
               lambda m: m + 0.5 if m < 2**53 else m,
-              lambda rad, den, ms: [0.5 * (math.sin(m * rad) / den - 1.0) for m in ms]),
-        Route("halfangle", Family.FULL, "sin(phi)", math.sin,
+              lambda rad, den, ms: [0.5 * (_sin(m * rad) / den - 1.0) for m in ms]),
+        Route("halfangle", Family.FULL, "sin(phi)", _sin,
               lambda m: (_exact(m + 1), _exact(m)),
-              lambda rad, den, ms: [0.5 * ((math.sin(m1 * rad) + math.sin(m * rad)) / den - 1.0)
+              lambda rad, den, ms: [0.5 * ((_sin(m1 * rad) + _sin(m * rad)) / den - 1.0)
                                     for m1, m in ms]),
-        Route("even", Family.EVEN, "sin(alpha)", math.sin, lambda k: _exact(2 * k + 1),
-              lambda rad, den, ms: [0.5 * (math.sin(m * rad) / den - 1.0) for m in ms]),
-        Route("odd", Family.ODD, "sin(alpha)", math.sin, lambda k: _exact(2 * k),
-              lambda rad, den, ms: [0.5 * math.sin(m * rad) / den for m in ms]),
-        Route("x_terminal", None, "sin(alpha)", math.sin, lambda k: _exact(2 * k + 2),
-              lambda rad, den, ms: [math.cos(rad) * math.sin(m * rad) / den for m in ms]),
+        Route("even", Family.EVEN, "sin(alpha)", _sin, lambda k: _exact(2 * k + 1),
+              lambda rad, den, ms: [0.5 * (_sin(m * rad) / den - 1.0) for m in ms]),
+        Route("odd", Family.ODD, "sin(alpha)", _sin, lambda k: _exact(2 * k),
+              lambda rad, den, ms: [0.5 * _sin(m * rad) / den for m in ms]),
+        Route("x_terminal", None, "sin(alpha)", _sin, lambda k: _exact(2 * k + 2),
+              lambda rad, den, ms: [math.cos(rad) * _sin(m * rad) / den for m in ms]),
     )
 }
 

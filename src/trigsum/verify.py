@@ -161,7 +161,7 @@ def _decomposition_vs_halfangle(counts: Sequence[int]) -> _Rule:
     routes = [kernels.ROUTES[name] for name in ("even", "odd", "halfangle")]
     # The even and odd routes' multipliers, 2k+1 and 2k (see kernels.ROUTES)
     odd_mults, even_mults = (list(map(route.multiplier, counts)) for route in routes[:2])
-    sin = math.sin
+    sin = kernels._sin
     normal_min = sys.float_info.min
 
     def rule(rad: float, guard: float) -> list[float]:

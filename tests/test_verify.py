@@ -378,23 +378,21 @@ def test_projection_sweep_through_tangent_steps_is_accurate_and_byte_identical()
     # sin((2k+1)a) and sin(2ka), shared by the even, odd and whole-angle forms
     (ResidualPair.DECOMPOSITION_VS_HALFANGLE, 2, 0, False),
     # the closed form's sine, and sin(phi/2) of the guard, whose lambda looks
-    # math.sin up at each call
+    # kernels._sin up at each call
     (ResidualPair.LAGRANGE_VS_NAIVE, 1, 1, True),
     (ResidualPair.ODD_VS_NAIVE, 1, 0, True),
 ], ids=["DecompositionVsHalfangle", "LagrangeVsNaive", "OddVsNaive"])
 def test_sweep_evaluates_each_side_once(monkeypatch, pair, sines_per_point, sines_per_angle,
                                         oracle):
-    # Counted through math.sin and math.cos as the closed forms and the
-    # oracle pass look them up at each call; the sweep binds math.sin once
-    # per sweep, when it prepares the pair. The denominators of the routes
-    # that are math.sin itself were bound when kernels loaded. An oracle pair
-    # makes one ordered pass of max(counts) cosines per angle.
+    # Counted through kernels._sin and math.cos as the closed forms and the
+    # oracle pass look them up at each call; the decomposition pair binds
+    # kernels._sin once per sweep, when it prepares the pair. The denominators
+    # of the routes that are the sine itself were bound when kernels loaded.
+    # An oracle pair makes one ordered pass of max(counts) cosines per angle.
     grid = GridSpec(0.05, 3.0, 40, (1, 7, 7, 300, 2))
     calls = {"sin": 0, "cos": 0}
 
-    def counted(name):
-        function = getattr(math, name)
-
+    def counted(name, function):
         def call(x):
             calls[name] += 1
             return function(x)
@@ -402,8 +400,8 @@ def test_sweep_evaluates_each_side_once(monkeypatch, pair, sines_per_point, sine
         return call
 
     expected = residual_sweep(grid, pair)
-    for name in calls:
-        monkeypatch.setattr(math, name, counted(name))
+    monkeypatch.setattr(kernels, "_sin", counted("sin", kernels._sin))
+    monkeypatch.setattr(math, "cos", counted("cos", math.cos))
     report = residual_sweep(grid, pair)
     assert report.skipped == 0
     assert report == expected

@@ -16,8 +16,9 @@ change's wins by the metric's `better` field, and whether the claim rule
 holds for it: at least 10 pairs, the change better in at least 90% of them
 (9 of 10), and its median better than the parent's by more than the
 parent's interquartile range. Fewer pairs are compared but never make a
-claim. --out writes the runs and the summary as JSON. Uses the standard
-library only.
+claim. --out writes the runs and the summary as JSON. A BENCH_<pr>.json
+holds one such object per series, under the key <workload>_seed_<n>, which
+is the layout tools/trajectory.py reads. Uses the standard library only.
 """
 
 from __future__ import annotations
