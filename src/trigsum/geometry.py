@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import cycle, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .angle import Angle, Record, _index, _isfinite, as_angle, as_count, int_text
 from .chebyshev import chebyshev_u
@@ -136,10 +136,10 @@ def _cos_sin(rad: float) -> tuple[float, float]:
     return cos_a, sin_a
 
 
-def _walk(cos_a: float, sin_a: float, n: int,
-          start_line: Line) -> Iterator[tuple[float, float, bool]]:
-    """The construction core: the plane points A_0 .. A_n, for a checked
-    (cos a, sin a), as (x, y, is_tangent).
+def _walk(cos_a: float, sin_a: float, n: int, tangent_steps: list[int]) -> Iterator[float]:
+    """The construction core: the signed coordinates t_0 .. t_n of A_0 .. A_n,
+    each along its own line, for a checked (cos a, sin a). The index of each
+    tangent step is appended to tangent_steps.
 
     At each step the current point sits at signed coordinate s = prev on the
     other line; a candidate at coordinate t on the target line is at unit
@@ -147,28 +147,25 @@ def _walk(cos_a: float, sin_a: float, n: int,
     through the origin with opening angle a). A_{l-2} is itself a root of
     this quadratic, so preferring the intersection farther from it picks the
     other root. Where the discriminant is below TOL_TANGENT that root is
-    2 s cos(a) - t_{l-2}, from the sum of the roots. A_1 lies on start_line
-    and the lines alternate, so each t is placed along its line's direction.
-    _projection_totals repeats these steps in a loop of its own, and
-    test_projection_sums_match_projection_sum holds the two to the same bits.
+    2 s cos(a) - t_{l-2}, from the sum of the roots. The coordinates do not
+    depend on the start line; only the line each t is placed on does.
     """
     tol_tangent = TOL_TANGENT  # read at every step, so bound as a local
-    even, odd = (_direction(line, cos_a, sin_a) for line in _parity_lines(start_line))
     prev2, prev = 0.0, 1.0
-    yield prev2 * even[0], prev2 * even[1], False
-    yield prev * odd[0], prev * odd[1], False
-    for dx, dy in islice(cycle((even, odd)), n - 1):
+    yield prev2
+    yield prev
+    for index in range(2, n + 1):
         proj = prev * cos_a
         perp = prev * sin_a  # signed distance from the current point to the target line
         disc = 1.0 - perp * perp  # squared half-chord
-        tangent = disc < tol_tangent
-        if tangent:
+        if disc < tol_tangent:
+            tangent_steps.append(index)
             t = 2.0 * proj - prev2
         else:
             half = math.sqrt(disc)
             lo, hi = proj - half, proj + half
             t = hi if abs(hi - prev2) >= abs(lo - prev2) else lo
-        yield t * dx, t * dy, tangent
+        yield t
         prev2, prev = prev, t
 
 
@@ -177,16 +174,16 @@ def construct_points(cfg: ConstructionConfig) -> PointSeq:
 
     Opening angles where the construction degenerates (|cos a| or |sin a|
     below EPSILON_EXCLUDE) raise ExcludedAngle before any step runs. Every
-    step has a root; the index of each tangent step is recorded.
+    step has a root; the index of each tangent step is recorded. A_1 lies on
+    start_line and the lines alternate, so each t is placed along its line's
+    direction.
     """
     cos_a, sin_a = _cos_sin(cfg.alpha.radians)
-    points = []
     tangencies: list[int] = []
-    for index, (x, y, tangent) in enumerate(_walk(cos_a, sin_a, cfg.n, cfg.start_line)):
-        if tangent:
-            tangencies.append(index)
-        points.append(Point2(x, y))
-    return PointSeq(cfg.alpha, cfg.start_line, tuple(points), tuple(tangencies))
+    directions = cycle([_direction(line, cos_a, sin_a) for line in _parity_lines(cfg.start_line)])
+    points = tuple(Point2(t * dx, t * dy) for t, (dx, dy)
+                   in zip(_walk(cos_a, sin_a, cfg.n, tangencies), directions))
+    return PointSeq(cfg.alpha, cfg.start_line, points, tuple(tangencies))
 
 
 def closed_form_point(alpha: Angle | float, n: int) -> Point2:
@@ -265,47 +262,29 @@ def projection_sums(cfg: ConstructionConfig, target: Line | str,
 
 
 def _projection_totals(rad: float, start_line: Line, target: Line,
-                       wanted: Iterable[int]) -> dict[int, float]:
+                       wanted: Sequence[int]) -> dict[int, float]:
     """The core of projection_sums, on checked arguments: the running total of
     the segment projections onto target at each wanted index of one walk.
 
     wanted holds distinct indices from 1 in increasing order. The walk stops
     at the last one and adds each segment's projection in index order, as
-    projection_sum does. It steps the construction in its own loop, with no
-    generator and no tuple per step, but every expression is _walk's, in the
-    same order, so each point and total has the bits that construct_points
-    and projection_sum give.
+    projection_sum does, over the points construct_points places, so each
+    total has projection_sum's bits.
     """
     cos_a, sin_a = _cos_sin(rad)
     tx, ty = _direction(target, cos_a, sin_a)
-    (ex, ey), (ox, oy) = (_direction(line, cos_a, sin_a) for line in _parity_lines(start_line))
-    tol_tangent, sqrt = TOL_TANGENT, math.sqrt  # read at every step, so bound as locals
-    prev2, prev = 0.0, 1.0
-    px, py = prev2 * ex, prev2 * ey  # A_0
-    x, y = prev * ox, prev * oy  # A_1, on start_line
+    directions = cycle([_direction(line, cos_a, sin_a) for line in _parity_lines(start_line)])
+    steps = zip(_walk(cos_a, sin_a, max(wanted, default=1), []), directions)
+    t, (dx, dy) = next(steps)
+    px, py = t * dx, t * dy  # A_0
     total = 0.0
-    total += (x - px) * tx + (y - py) * ty
-    px, py = x, y
     totals: dict[int, float] = {}
-    done = 1
+    done = 0
     for index in wanted:
-        for step in range(done + 1, index + 1):
-            proj = prev * cos_a
-            perp = prev * sin_a
-            disc = 1.0 - perp * perp
-            if disc < tol_tangent:
-                t = 2.0 * proj - prev2
-            else:
-                half = sqrt(disc)
-                lo, hi = proj - half, proj + half
-                t = hi if abs(hi - prev2) >= abs(lo - prev2) else lo
-            if step & 1:
-                x, y = t * ox, t * oy
-            else:
-                x, y = t * ex, t * ey
+        for t, (dx, dy) in islice(steps, index - done):
+            x, y = t * dx, t * dy
             total += (x - px) * tx + (y - py) * ty
             px, py = x, y
-            prev2, prev = prev, t
         totals[index] = total
         done = index
     return totals

@@ -205,35 +205,15 @@ def residual_sweep(
 ) -> ResidualReport:
     """Evaluate a pair over the grid and aggregate |residual| statistics.
 
-    The pair is prepared once per sweep for the grid's counts, so every
-    per-count constant is computed once: each route's multipliers
-    (Route.multiplier: what its body multiplies the angle by, a float, or
-    the int from 2**53 on, so each product keeps the int count's bits and a
-    count no float can hold raises OverflowError at the first evaluated
-    angle), the running-sum plan of the ...VsNaive pairs
-    (kernels.RunningSumPlan: the distinct counts, runs of one-term gaps as
-    float multipliers, a range per other gap, the read-off position of each
-    count, none where the counts are distinct and increasing) and the
-    construction's sorted lengths n = 2k + 2. Each angle then costs the
-    pair's denominators and their guard once, one call per route body over
-    all the prepared multipliers, the closed side first, so such a count
-    raises before the other side runs; one ordered naive pass up to
-    max(counts) for the oracle pairs; one construction walk up to
-    n = 2 max(counts) + 2 for the projection pair, in geometry's private
-    loop (no generator, no Angle, ConstructionConfig or count check per
-    angle, and _walk's expressions in their order); and two sines per
-    count, sin((2k+1) a) and sin(2k a), shared by
-    DecompositionVsHalfangle's three closed forms, which divide by 2 sin(a)
-    instead of halving wherever sin(a) is a normal double: an exact
-    rewrite, with the same bits (see the rule). Plan memory is
-    O(len(counts)), and so is memory per angle. An angle's closed forms and
-    residuals run in list comprehensions, which on CPython 3.11 run as
-    specialized bytecode. The statistics accumulate point by point in grid
-    order: abs_sum by += left to right, never sum() (which compensates from
-    Python 3.12 on) or math.fsum, and the argmax is the first point that
-    strictly exceeds the running maximum, looked up only at an angle that
-    raises it. So every report is byte for byte the one a per-point
-    evaluation of the same pair gives.
+    The pair is prepared once per sweep for the grid's counts, so each angle
+    costs only what depends on it. Memory is O(len(counts)) for the
+    preparation and per angle. The statistics accumulate point by point in
+    grid order: abs_sum by += left to right, never sum() (which compensates
+    from Python 3.12 on) or math.fsum, and the argmax is the first point
+    that strictly exceeds the running maximum. So every report is byte for
+    byte the one a per-point evaluation of the same pair gives. A count
+    that no float can hold raises OverflowError at the first evaluated
+    angle.
 
     Per-point rows are kept, in canonical order (angle-major, count-minor),
     only when keep_rows is true; otherwise rows is None at any grid size.

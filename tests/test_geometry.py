@@ -1,6 +1,7 @@
 """Tests for the two-line construction and its closed coordinate forms."""
 
 import math
+import tracemalloc
 
 import mpmath
 import pytest
@@ -106,6 +107,13 @@ def test_walk_through_tangent_steps_matches_mpmath(alpha):
             t = mpmath.sin(l * a) / sin_a
             x, y = (t, 0.0) if l % 2 else (t * cos_a, t * sin_a)
             assert abs(p.x - x) <= 1e-9 and abs(p.y - y) <= 1e-9, l
+
+
+@pytest.mark.parametrize("alpha", TANGENT_ANGLES)
+def test_start_line_only_places_the_coordinates(alpha):
+    # the walk's steps, tangent ones included, do not depend on the start line
+    x_seq, e_seq = (build(alpha, 10**4, start) for start in (Line.X, Line.E))
+    assert x_seq.tangency_events == e_seq.tangency_events
 
 
 @pytest.mark.parametrize("alpha", EXCLUDED_ANGLES)
@@ -277,8 +285,6 @@ def test_projection_count_bounds():
 @pytest.mark.parametrize("alpha", [math.pi / 4, -math.pi / 3, *REGULAR_ANGLES, 41.3,
                                    5.799494954972601])
 def test_projection_sums_match_projection_sum(alpha, start):
-    # projection_sums steps the construction in its own loop: every point of
-    # it must be _walk's, through the tangent step 329 of the last angle
     cfg = ConstructionConfig(Angle(alpha), 500, start)
     seq = construct_points(cfg)
     counts = (7, 1, 120, 7, 33, 2, 329, 330, 500)
@@ -295,6 +301,19 @@ def test_projection_sums_count_bounds():
         projection_sums(cfg, Line.X, (1, 0))
     with pytest.raises(CountOutOfRange):
         projection_sums(cfg, Line.X, (4,))
+
+
+def test_projection_sums_memory_does_not_grow_with_n():
+    # one float per distinct count: a walk that kept its 10**5 coordinates
+    # would take about 3 MB
+    cfg = ConstructionConfig(Angle(0.9), 10**5)
+    tracemalloc.start()
+    try:
+        projection_sums(cfg, Line.X, (10**5,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("alpha", EXCLUDED_ANGLES)

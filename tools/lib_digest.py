@@ -189,6 +189,13 @@ def calls() -> list[str]:
     out += [f"projection_sums(ConstructionConfig({NEAR_TANGENT}, 500), Line.{line}, (500, 4, 330))"
             for line in ("X", "E")]
     out.append(f"construct_points(ConstructionConfig({NEAR_TANGENT}, 500)).to_json()")
+    # the start line places each coordinate on its line, through the same step 329
+    out.append(f"construct_points(ConstructionConfig({NEAR_TANGENT}, 500, Line.E)).to_json()")
+    out += [f"projection_sums(ConstructionConfig({NEAR_TANGENT}, 500, Line.E), Line.{line}, "
+            "(500, 1, 329, 330, 4))" for line in ("X", "E")]
+    # no counts: nothing to walk, yet an excluded angle still raises
+    out += [f"projection_sums(ConstructionConfig({alpha}, 5), Line.X, ())"
+            for alpha in ("0.9", "1.5707963267948966")]
     out += [f"residual_sweep({grid}, ResidualPair({pair!r})).to_json()"
             for pair, grid in ACCEPTANCE_GRIDS]
     out.append(f"residual_sweep({DECOMPOSITION_SHARD}, "
